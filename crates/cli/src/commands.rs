@@ -41,27 +41,24 @@ fn resolve_sim(spec: &RunSpec) -> Result<dufp_sim::SimConfig, String> {
 /// ends in `.json`) or an inline DSL string like
 /// `seed=42;write,reg=cap,p=0.01`.
 fn resolve_fault_plan(spec: &RunSpec) -> Result<Option<FaultPlan>, String> {
-    spec.fault_plan.as_deref().map(load_msr_plan).transpose()
+    spec.fault_plan
+        .as_deref()
+        .map(|arg| load_plan(arg, "fault plan", FaultPlan::parse))
+        .transpose()
 }
 
-/// Loads an MSR fault plan from a JSON file or an inline DSL string.
-fn load_msr_plan(arg: &str) -> Result<FaultPlan, String> {
+/// Loads a fault plan from a JSON file (when `arg` ends in `.json`) or
+/// from the inline DSL read by `parse`. `what` names the plan in errors.
+fn load_plan<P: serde::DeserializeOwned>(
+    arg: &str,
+    what: &str,
+    parse: fn(&str) -> dufp_types::Result<P>,
+) -> Result<P, String> {
     if arg.ends_with(".json") {
-        let text = std::fs::read_to_string(arg).map_err(|e| format!("fault plan {arg}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("fault plan {arg}: {e}"))
+        let text = std::fs::read_to_string(arg).map_err(|e| format!("{what} {arg}: {e}"))?;
+        serde_json::from_str(&text).map_err(|e| format!("{what} {arg}: {e}"))
     } else {
-        FaultPlan::parse(arg).map_err(|e| format!("fault plan: {e}"))
-    }
-}
-
-/// Loads a network fault plan from a JSON file or an inline DSL string.
-fn load_net_plan(arg: &str) -> Result<dufp_net::NetFaultPlan, String> {
-    if arg.ends_with(".json") {
-        let text =
-            std::fs::read_to_string(arg).map_err(|e| format!("net fault plan {arg}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("net fault plan {arg}: {e}"))
-    } else {
-        dufp_net::NetFaultPlan::parse(arg).map_err(|e| format!("net fault plan: {e}"))
+        parse(arg).map_err(|e| format!("{what}: {e}"))
     }
 }
 
@@ -921,10 +918,10 @@ pub fn chaos(cmd: &ChaosCmd) -> Result<String, String> {
     cfg.epochs = cmd.epochs;
     cfg.budget = dufp_types::Watts(cmd.budget_w);
     if let Some(arg) = &cmd.net_fault_plan {
-        cfg.extra_net = load_net_plan(arg)?;
+        cfg.extra_net = load_plan(arg, "net fault plan", dufp_net::NetFaultPlan::parse)?;
     }
     if let Some(arg) = &cmd.fault_plan {
-        cfg.msr_plan = load_msr_plan(arg)?;
+        cfg.msr_plan = load_plan(arg, "fault plan", FaultPlan::parse)?;
     }
 
     let cards = match &cmd.scenario {

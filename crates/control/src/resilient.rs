@@ -26,6 +26,7 @@
 
 use crate::actuators::Actuators;
 use dufp_telemetry::{Actuator as TelActuator, Counter, DecisionEvent, Reason, SocketTelemetry};
+use dufp_types::rng::{next_uniform, GAMMA};
 use dufp_types::{Error, Hertz, Result, Watts};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -113,16 +114,11 @@ impl RetryPolicy {
         if span.is_zero() {
             return full;
         }
-        // SplitMix64 finalizer over a (seed, attempt) stream — the same
-        // generator the fault-injection DSL uses, so one seed governs the
-        // whole adversarial run.
-        let mut z = seed
-            .wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let frac = (z >> 11) as f64 / (1u64 << 53) as f64;
+        // The draw at position `attempt` of the SplitMix64 stream seeded
+        // with `seed`: the generator the fault-injection DSL uses, so one
+        // seed governs the whole adversarial run.
+        let mut state = seed.wrapping_add(u64::from(attempt).wrapping_mul(GAMMA));
+        let frac = next_uniform(&mut state);
         (half + span.mul_f64(frac)).min(self.max_backoff)
     }
 }
@@ -992,6 +988,54 @@ mod tests {
         let delays: std::collections::HashSet<Duration> =
             (0..16u64).map(|s| p.backoff_jittered(4, s)).collect();
         assert!(delays.len() > 1, "jitter collapsed to a single value");
+    }
+
+    /// Values recorded before the SplitMix64 copies were folded into
+    /// `dufp_types::rng`: every seeded stream must keep drawing them.
+    #[test]
+    fn seeded_streams_draw_pinned_values() {
+        use dufp_types::rng::{next_uniform, splitmix64};
+        for (seed, raw, uniform) in [
+            (
+                0u64,
+                [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f],
+                [
+                    0.8833108082136426,
+                    0.43152799704850997,
+                    0.026433771592597743,
+                ],
+            ),
+            (
+                42,
+                [0xbdd732262feb6e95, 0x28efe333b266f103, 0x47526757130f9f52],
+                [0.7415648787718233, 0.1599103928769201, 0.27860113025513866],
+            ),
+        ] {
+            let mut state = seed;
+            assert_eq!(raw.map(|_| splitmix64(&mut state)), raw, "seed {seed}");
+            let mut state = seed;
+            assert_eq!(
+                uniform.map(|_| next_uniform(&mut state)),
+                uniform,
+                "seed {seed}"
+            );
+        }
+        let p = RetryPolicy {
+            base_backoff: Duration::from_millis(8),
+            max_backoff: Duration::from_secs(2),
+            ..RetryPolicy::default()
+        };
+        for (attempt, seed, nanos) in [
+            (1, 0, 5_726_112),
+            (3, 42, 21_507_051),
+            (6, 7, 187_897_985),
+            (9, u64::MAX, 1_012_181_341),
+        ] {
+            assert_eq!(p.backoff_jittered(attempt, seed).as_nanos(), nanos);
+        }
+        let d = RetryPolicy::default();
+        assert_eq!(d.backoff_jittered(2, 1).as_nanos(), 1_971_003);
+        assert_eq!(d.backoff_jittered(5, 99).as_nanos(), 9_877_317);
     }
 
     #[test]

@@ -13,7 +13,14 @@
 //! consult on every access: [`crate::FakeMsr`] counts matching accesses
 //! per rule, while clocked backends (the simulator) pass their tick so
 //! `at=`/`window=` rules align with simulated time.
+//!
+//! This module also holds the plan grammar every failure domain shares
+//! (`dufp_net`'s network plans use it too): [`parse_plan`] for the `;`
+//! segments and `seed=`, [`parse_range`] for `N`/`A-B` scopes, and
+//! [`FaultWhen`] for the schedule items and their evaluation. A domain
+//! adds only its op table and its scoping items.
 
+use dufp_types::rng::{next_uniform, GAMMA};
 use dufp_types::{Error, Result};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -79,6 +86,118 @@ pub struct FaultRule {
     pub when: FaultWhen,
 }
 
+impl FaultWhen {
+    /// Parses a schedule item (`always`, `p=P`, `at=N`,
+    /// `window=FROM+COUNT`). `None` when `item` is not a schedule item;
+    /// otherwise the schedule or the reason it is malformed.
+    pub fn parse_item(item: &str) -> Option<std::result::Result<FaultWhen, String>> {
+        let when = if item == "always" {
+            Ok(FaultWhen::Always)
+        } else if let Some(p) = item.strip_prefix("p=") {
+            match p.parse::<f64>() {
+                Err(_) => Err(format!("bad probability {p}")),
+                Ok(p) if (0.0..=1.0).contains(&p) => Ok(FaultWhen::Probability { p }),
+                Ok(p) => Err(format!("probability {p} outside [0, 1]")),
+            }
+        } else if let Some(at) = item.strip_prefix("at=") {
+            at.parse()
+                .map(|at| FaultWhen::At { at })
+                .map_err(|_| format!("bad at={at}"))
+        } else if let Some(window) = item.strip_prefix("window=") {
+            parse_window(window)
+        } else {
+            return None;
+        };
+        Some(when)
+    }
+
+    /// Whether the schedule covers `clock`. Pure: a probabilistic schedule
+    /// never does (use [`FaultWhen::fires`] to draw for it).
+    #[inline]
+    pub fn scheduled(self, clock: u64) -> bool {
+        match self {
+            FaultWhen::Always => true,
+            FaultWhen::Probability { .. } => false,
+            FaultWhen::At { at } => clock == at,
+            FaultWhen::Window { from, count } => clock >= from && clock - from < count,
+        }
+    }
+
+    /// Whether the schedule fires at `clock`, drawing from the SplitMix64
+    /// stream `rng` for a probabilistic schedule (and only then).
+    #[inline]
+    pub fn fires(self, clock: u64, rng: &mut u64) -> bool {
+        match self {
+            FaultWhen::Probability { p } => next_uniform(rng) < p,
+            other => other.scheduled(clock),
+        }
+    }
+}
+
+fn parse_window(window: &str) -> std::result::Result<FaultWhen, String> {
+    let (from, count) = window
+        .split_once('+')
+        .ok_or_else(|| format!("window wants FROM+COUNT, got {window}"))?;
+    let count: u64 = count
+        .parse()
+        .map_err(|_| format!("bad window length {count}"))?;
+    if count == 0 {
+        return Err("window length must be positive".into());
+    }
+    let from = from
+        .parse()
+        .map_err(|_| format!("bad window start {from}"))?;
+    Ok(FaultWhen::Window { from, count })
+}
+
+/// Parses an inclusive index range item value: `N` or `A-B` with `A <= B`.
+pub fn parse_range(range: &str) -> std::result::Result<(usize, usize), String> {
+    let bad = || format!("bad range {range}");
+    let (lo, hi) = match range.split_once('-') {
+        Some((lo, hi)) => (
+            lo.parse().map_err(|_| bad())?,
+            hi.parse().map_err(|_| bad())?,
+        ),
+        None => {
+            let n = range.parse().map_err(|_| bad())?;
+            (n, n)
+        }
+    };
+    if lo > hi {
+        return Err(format!("empty range {range}"));
+    }
+    Ok((lo, hi))
+}
+
+/// Parses the plan syntax every failure domain shares: segments separated
+/// by `;`, blank ones skipped, a `seed=N` segment setting the seed, and
+/// every other segment one rule read by `rule`. `seed_what` names the
+/// domain's seed in the error for a malformed one. Returns the seed
+/// (default 0) and the rules in order.
+pub fn parse_plan<R>(
+    text: &str,
+    seed_what: &'static str,
+    mut rule: impl FnMut(&str) -> Result<R>,
+) -> Result<(u64, Vec<R>)> {
+    let mut seed = 0;
+    let mut rules = Vec::new();
+    for segment in text.split(';') {
+        let segment = segment.trim();
+        if segment.is_empty() {
+            continue;
+        }
+        if let Some(value) = segment.strip_prefix("seed=") {
+            seed = value
+                .trim()
+                .parse()
+                .map_err(|_| Error::invalid(seed_what, value.to_string()))?;
+            continue;
+        }
+        rules.push(rule(segment)?);
+    }
+    Ok((seed, rules))
+}
+
 impl FaultRule {
     fn matches(&self, op: FaultOp, cpu: usize, register: u32) -> bool {
         let op_ok = matches!(self.op, FaultOp::Any) || self.op == op;
@@ -136,22 +255,8 @@ impl FaultPlan {
     /// address), an optional `cpu=N` or `cpu=A-B` range, and a schedule
     /// (`always`, `p=0.01`, `at=N`, `window=FROM+COUNT`; default `always`).
     pub fn parse(text: &str) -> Result<Self> {
-        let mut plan = FaultPlan::default();
-        for segment in text.split(';') {
-            let segment = segment.trim();
-            if segment.is_empty() {
-                continue;
-            }
-            if let Some(seed) = segment.strip_prefix("seed=") {
-                plan.seed = seed
-                    .trim()
-                    .parse()
-                    .map_err(|_| Error::invalid("fault plan seed", seed.to_string()))?;
-                continue;
-            }
-            plan.rules.push(Self::parse_rule(segment)?);
-        }
-        Ok(plan)
+        let (seed, rules) = parse_plan(text, "fault plan seed", Self::parse_rule)?;
+        Ok(FaultPlan { seed, rules })
     }
 
     fn parse_rule(segment: &str) -> Result<FaultRule> {
@@ -176,53 +281,12 @@ impl FaultPlan {
             when: FaultWhen::Always,
         };
         for item in items {
-            if let Some(reg) = item.strip_prefix("reg=") {
+            if let Some(when) = FaultWhen::parse_item(item) {
+                rule.when = when.map_err(bad)?;
+            } else if let Some(reg) = item.strip_prefix("reg=") {
                 rule.register = Some(Self::parse_register(reg)?);
             } else if let Some(range) = item.strip_prefix("cpu=") {
-                let (lo, hi) = match range.split_once('-') {
-                    Some((lo, hi)) => (
-                        lo.parse()
-                            .map_err(|_| bad(format!("bad cpu range {range}")))?,
-                        hi.parse()
-                            .map_err(|_| bad(format!("bad cpu range {range}")))?,
-                    ),
-                    None => {
-                        let cpu = range.parse().map_err(|_| bad(format!("bad cpu {range}")))?;
-                        (cpu, cpu)
-                    }
-                };
-                if lo > hi {
-                    return Err(bad(format!("empty cpu range {range}")));
-                }
-                rule.cpus = Some((lo, hi));
-            } else if let Some(p) = item.strip_prefix("p=") {
-                let p: f64 = p.parse().map_err(|_| bad(format!("bad probability {p}")))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(bad(format!("probability {p} outside [0, 1]")));
-                }
-                rule.when = FaultWhen::Probability { p };
-            } else if let Some(at) = item.strip_prefix("at=") {
-                rule.when = FaultWhen::At {
-                    at: at.parse().map_err(|_| bad(format!("bad at={at}")))?,
-                };
-            } else if let Some(window) = item.strip_prefix("window=") {
-                let (from, count) = window
-                    .split_once('+')
-                    .ok_or_else(|| bad(format!("window wants FROM+COUNT, got {window}")))?;
-                let count: u64 = count
-                    .parse()
-                    .map_err(|_| bad(format!("bad window length {count}")))?;
-                if count == 0 {
-                    return Err(bad("window length must be positive".into()));
-                }
-                rule.when = FaultWhen::Window {
-                    from: from
-                        .parse()
-                        .map_err(|_| bad(format!("bad window start {from}")))?,
-                    count,
-                };
-            } else if item == "always" {
-                rule.when = FaultWhen::Always;
+                rule.cpus = Some(parse_range(range).map_err(bad)?);
             } else {
                 return Err(bad(format!("unknown item {item}")));
             }
@@ -288,7 +352,7 @@ impl FaultInjector {
             rules: plan.rules,
             state: Mutex::new(InjectorState {
                 // Offset so seed 0 still produces a scrambled stream.
-                rng: plan.seed ^ 0x9E37_79B9_7F4A_7C15,
+                rng: plan.seed ^ GAMMA,
                 hits,
             }),
         }
@@ -349,12 +413,7 @@ impl FaultInjector {
             }
             let now = clock.unwrap_or(state.hits[idx]);
             state.hits[idx] += 1;
-            fail |= match rule.when {
-                FaultWhen::Always => true,
-                FaultWhen::Probability { p } => next_uniform(&mut state.rng) < p,
-                FaultWhen::At { at } => now == at,
-                FaultWhen::Window { from, count } => now >= from && now - from < count,
-            };
+            fail |= rule.when.fires(now, &mut state.rng);
         }
         fail
     }
@@ -371,16 +430,6 @@ impl FaultInjector {
             Ok(())
         }
     }
-}
-
-/// One SplitMix64 step mapped to a uniform draw in `[0, 1)`.
-fn next_uniform(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]

@@ -43,6 +43,7 @@ use crate::wire::Frame;
 use dufp_msr::fault::{FaultInjector, FaultOp, FaultPlan};
 use dufp_msr::registers::MSR_PKG_POWER_LIMIT;
 use dufp_telemetry::Telemetry;
+use dufp_types::rng::{next_uniform, GAMMA};
 use dufp_types::{Error, Result, Watts};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -347,9 +348,7 @@ struct SimAgent {
 
 impl SimAgent {
     fn new(idx: usize, cfg: &ChaosConfig) -> Self {
-        let mut rng = cfg
-            .seed
-            .wrapping_add((idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut rng = cfg.seed.wrapping_add((idx as u64 + 1).wrapping_mul(GAMMA));
         let span = cfg.node_max.value() - cfg.floor.value();
         let demand = cfg.floor.value() + next_uniform(&mut rng) * span;
         SimAgent {
@@ -1282,16 +1281,6 @@ fn corrupt(bytes: &mut [u8]) {
     if let Some(last) = bytes.last_mut() {
         *last ^= 0x40;
     }
-}
-
-/// One SplitMix64 step mapped to a uniform draw in `[0, 1)`.
-fn next_uniform(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]

@@ -1,14 +1,17 @@
 //! Declarative network-fault plans for chaos testing the fleet plane.
 //!
 //! [`dufp_msr::fault::FaultPlan`] chaos-tests the *actuation* path (MSR
-//! reads/writes); this module applies the same grammar to the *network*
-//! path: frames between the coordinator and its agents can be dropped,
-//! delayed, duplicated, corrupted or reordered, links can be partitioned,
-//! whole agents killed, and agents can be turned byzantine (lying demand
+//! reads/writes); this module chaos-tests the *network* path: frames
+//! between the coordinator and its agents can be dropped, delayed,
+//! duplicated, corrupted or reordered, links can be partitioned, whole
+//! agents killed, and agents can be turned byzantine (lying demand
 //! reports, replayed frames, heartbeat flapping, grant-ignoring
-//! overdraw). A [`NetFaultPlan`] is a seed plus scoped [`NetFaultRule`]s;
-//! schedules reuse [`FaultWhen`] verbatim, so `--net-fault-plan` composes
-//! with `--fault-plan` — one seeded grammar, two failure domains.
+//! overdraw). A [`NetFaultPlan`] is a seed plus scoped [`NetFaultRule`]s.
+//! Both domains are parsed by the one grammar in [`dufp_msr::fault`]: the
+//! `;` segments and `seed=`, the `N`/`A-B` range, and the [`FaultWhen`]
+//! schedule items are shared, so `--net-fault-plan` composes with
+//! `--fault-plan`. This module adds only its op table, its `peer=`,
+//! `dir=` and `n=` items, and the rule that structural ops take no `p=`.
 //!
 //! Command-line syntax (segments by `;`, items by `,`):
 //!
@@ -26,7 +29,8 @@
 //! `at=EPOCH`, `window=FROM+COUNT`; default `always`), clocked on the
 //! chaos epoch. Plans are fully deterministic given their seed.
 
-use dufp_msr::fault::FaultWhen;
+use dufp_msr::fault::{parse_plan, parse_range, FaultWhen};
+use dufp_types::rng::GAMMA;
 use dufp_types::{Error, Result};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -171,24 +175,10 @@ impl NetFaultPlan {
     }
 
     /// Parses the compact command-line syntax described in the module
-    /// docs. Mirrors [`dufp_msr::fault::FaultPlan::parse`].
+    /// docs.
     pub fn parse(text: &str) -> Result<Self> {
-        let mut plan = NetFaultPlan::default();
-        for segment in text.split(';') {
-            let segment = segment.trim();
-            if segment.is_empty() {
-                continue;
-            }
-            if let Some(seed) = segment.strip_prefix("seed=") {
-                plan.seed = seed
-                    .trim()
-                    .parse()
-                    .map_err(|_| Error::invalid("net fault plan seed", seed.to_string()))?;
-                continue;
-            }
-            plan.rules.push(Self::parse_rule(segment)?);
-        }
-        Ok(plan)
+        let (seed, rules) = parse_plan(text, "net fault plan seed", Self::parse_rule)?;
+        Ok(NetFaultPlan { seed, rules })
     }
 
     fn parse_rule(segment: &str) -> Result<NetFaultRule> {
@@ -225,25 +215,10 @@ impl NetFaultPlan {
             when: FaultWhen::Always,
         };
         for item in items {
-            if let Some(range) = item.strip_prefix("peer=") {
-                let (lo, hi) = match range.split_once('-') {
-                    Some((lo, hi)) => (
-                        lo.parse()
-                            .map_err(|_| bad(format!("bad peer range {range}")))?,
-                        hi.parse()
-                            .map_err(|_| bad(format!("bad peer range {range}")))?,
-                    ),
-                    None => {
-                        let peer = range
-                            .parse()
-                            .map_err(|_| bad(format!("bad peer {range}")))?;
-                        (peer, peer)
-                    }
-                };
-                if lo > hi {
-                    return Err(bad(format!("empty peer range {range}")));
-                }
-                rule.peers = Some((lo, hi));
+            if let Some(when) = FaultWhen::parse_item(item) {
+                rule.when = when.map_err(bad)?;
+            } else if let Some(range) = item.strip_prefix("peer=") {
+                rule.peers = Some(parse_range(range).map_err(bad)?);
             } else if let Some(dir) = item.strip_prefix("dir=") {
                 rule.dir = match dir {
                     "up" => Dir::Up,
@@ -256,34 +231,6 @@ impl NetFaultPlan {
                 if rule.n == 0 {
                     return Err(bad("n must be positive".into()));
                 }
-            } else if let Some(p) = item.strip_prefix("p=") {
-                let p: f64 = p.parse().map_err(|_| bad(format!("bad probability {p}")))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(bad(format!("probability {p} outside [0, 1]")));
-                }
-                rule.when = FaultWhen::Probability { p };
-            } else if let Some(at) = item.strip_prefix("at=") {
-                rule.when = FaultWhen::At {
-                    at: at.parse().map_err(|_| bad(format!("bad at={at}")))?,
-                };
-            } else if let Some(window) = item.strip_prefix("window=") {
-                let (from, count) = window
-                    .split_once('+')
-                    .ok_or_else(|| bad(format!("window wants FROM+COUNT, got {window}")))?;
-                let count: u64 = count
-                    .parse()
-                    .map_err(|_| bad(format!("bad window length {count}")))?;
-                if count == 0 {
-                    return Err(bad("window length must be positive".into()));
-                }
-                rule.when = FaultWhen::Window {
-                    from: from
-                        .parse()
-                        .map_err(|_| bad(format!("bad window start {from}")))?,
-                    count,
-                };
-            } else if item == "always" {
-                rule.when = FaultWhen::Always;
             } else {
                 return Err(bad(format!("unknown item {item}")));
             }
@@ -323,8 +270,8 @@ pub struct FrameFate {
 
 /// A compiled, seeded [`NetFaultPlan`] the chaos transport consults.
 ///
-/// Probabilistic draws come from a SplitMix64 stream (same generator the
-/// MSR fault injector uses), so a single-threaded chaos loop replays
+/// Probabilistic draws come from a SplitMix64 stream, seeded as the MSR
+/// fault injector seeds its own, so a single-threaded chaos loop replays
 /// byte-identically from the plan seed.
 #[derive(Debug)]
 pub struct NetFaultInjector {
@@ -338,7 +285,7 @@ impl NetFaultInjector {
         NetFaultInjector {
             rules: plan.rules,
             // Offset so seed 0 still produces a scrambled stream.
-            rng: Mutex::new(plan.seed ^ 0x9E37_79B9_7F4A_7C15),
+            rng: Mutex::new(plan.seed ^ GAMMA),
         }
     }
 
@@ -357,7 +304,7 @@ impl NetFaultInjector {
                 | NetFaultOp::Delay
                 | NetFaultOp::Dup
                 | NetFaultOp::Corrupt
-                | NetFaultOp::Reorder => active(rule.when, epoch, &mut rng),
+                | NetFaultOp::Reorder => rule.when.fires(epoch, &mut rng),
                 _ => continue,
             };
             if !fires {
@@ -379,14 +326,14 @@ impl NetFaultInjector {
     /// partition schedules are epoch-deterministic (no `p=`).
     pub fn partitioned(&self, peer: usize, dir: Dir, epoch: u64) -> bool {
         self.rules.iter().any(|r| {
-            r.op == NetFaultOp::Partition && r.matches(peer, dir) && scheduled(r.when, epoch)
+            r.op == NetFaultOp::Partition && r.matches(peer, dir) && r.when.scheduled(epoch)
         })
     }
 
     /// Whether `peer` is killed at `epoch`. Pure.
     pub fn killed(&self, peer: usize, epoch: u64) -> bool {
         self.rules.iter().any(|r| {
-            r.op == NetFaultOp::Kill && r.matches(peer, Dir::Both) && scheduled(r.when, epoch)
+            r.op == NetFaultOp::Kill && r.matches(peer, Dir::Both) && r.when.scheduled(epoch)
         })
     }
 
@@ -395,7 +342,7 @@ impl NetFaultInjector {
     pub fn coord_killed(&self, epoch: u64) -> bool {
         self.rules
             .iter()
-            .any(|r| r.op == NetFaultOp::CoordKill && scheduled(r.when, epoch))
+            .any(|r| r.op == NetFaultOp::CoordKill && r.when.scheduled(epoch))
     }
 
     /// Whether this plan ever kills the primary (i.e. the chaos fleet
@@ -409,7 +356,7 @@ impl NetFaultInjector {
         self.rules
             .iter()
             .filter(|r| {
-                r.op.is_byzantine() && r.matches(peer, Dir::Both) && scheduled(r.when, epoch)
+                r.op.is_byzantine() && r.matches(peer, Dir::Both) && r.when.scheduled(epoch)
             })
             .map(|r| r.op)
             .collect()
@@ -424,7 +371,7 @@ impl NetFaultInjector {
             .filter(|r| {
                 r.op == NetFaultOp::ByzReplay
                     && r.matches(peer, Dir::Both)
-                    && scheduled(r.when, epoch)
+                    && r.when.scheduled(epoch)
             })
             .map(|r| r.n)
             .max()
@@ -437,36 +384,6 @@ impl NetFaultInjector {
             .iter()
             .any(|r| r.op.is_byzantine() && r.matches(peer, Dir::Both))
     }
-}
-
-/// Epoch-deterministic schedule check (partition/kill/byz rules, which the
-/// parser guarantees are never probabilistic).
-fn scheduled(when: FaultWhen, epoch: u64) -> bool {
-    match when {
-        FaultWhen::Always => true,
-        FaultWhen::Probability { .. } => false,
-        FaultWhen::At { at } => epoch == at,
-        FaultWhen::Window { from, count } => epoch >= from && epoch - from < count,
-    }
-}
-
-/// Schedule check with the seeded stream for `p=` rules.
-fn active(when: FaultWhen, epoch: u64, rng: &mut u64) -> bool {
-    match when {
-        FaultWhen::Probability { p } => next_uniform(rng) < p,
-        other => scheduled(other, epoch),
-    }
-}
-
-/// One SplitMix64 step mapped to a uniform draw in `[0, 1)` (same
-/// generator as `dufp_msr::fault`).
-fn next_uniform(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]
@@ -513,6 +430,28 @@ mod tests {
             "byz-nan,p=0.9",
         ] {
             assert!(NetFaultPlan::parse(bad).is_err(), "{bad} should not parse");
+        }
+    }
+
+    /// The seed, schedule and range items come from the one grammar in
+    /// `dufp_msr::fault`, so both domains reject them with the same detail.
+    #[test]
+    fn shared_grammar_errors_match_across_domains() {
+        let detail = |err: Error| match err {
+            Error::InvalidValue { detail, .. } => detail,
+            other => panic!("expected InvalidValue, got {other:?}"),
+        };
+        for (msr, net) in [
+            ("seed=abc", "seed=abc"),
+            ("write,window=5", "drop,window=5"),
+            ("write,window=5+0", "drop,window=5+0"),
+            ("write,p=1.5", "drop,p=1.5"),
+            ("write,at=x", "drop,at=x"),
+            ("write,cpu=9-3", "drop,peer=9-3"),
+        ] {
+            let msr_err = detail(dufp_msr::FaultPlan::parse(msr).unwrap_err());
+            let net_err = detail(NetFaultPlan::parse(net).unwrap_err());
+            assert_eq!(msr_err, net_err, "{msr:?} vs {net:?}");
         }
     }
 

@@ -3,19 +3,23 @@
 //! A scenario spec is the one file that describes a whole datacenter
 //! experiment: the global budget, the arrival model, the machine classes
 //! (including GPU-style nodes with their own uncore transfer functions)
-//! and the node → tenant topology. Like the PR-5 sweep-grid parser, the
-//! parser is a hand-rolled TOML subset that reports *line numbers* for
+//! and the node → tenant topology. The parser reports *line numbers* for
 //! syntax errors and *field paths* for semantic ones — a spec typo fails
 //! in milliseconds with a pointed message, not twenty virtual minutes into
 //! a fleet run.
 //!
-//! Supported syntax: `[scenario]`, `[arrival]`, `[machine.<id>]` and
-//! `[node.<id>]` sections of `key = value` lines, where values are
-//! double-quoted strings, numbers, string arrays or number arrays.
+//! Supported syntax: the suite's TOML subset ([`dufp_types::toml_subset`],
+//! which sweep grids use too) with `[scenario]`, `[arrival]`,
+//! `[machine.<id>]` and `[node.<id>]` sections of `key = value` lines,
+//! where values are double-quoted strings, numbers, integers
+//! (`interval_ms`, `epoch_intervals`), string arrays or number arrays.
 //! Comments (`#`) and blank lines are ignored.
 
 use crate::arrival::{ArrivalKind, ArrivalSpec};
 use dufp_sim::SharedSocketCfg;
+use dufp_types::toml_subset::{
+    self, parse_array, parse_integer, parse_number as num, parse_string, Line,
+};
 use dufp_types::{ArchSpec, BytesPerSec, Error, FlopsPerSec, Hertz, Result, Seconds, Watts};
 use dufp_workloads::MaterializeCtx;
 use serde::{Deserialize, Serialize};
@@ -543,6 +547,37 @@ enum Section {
     Node(usize),
 }
 
+/// Opens the section a `[header]` line names, adding the machine class or
+/// node it declares to `spec`.
+fn open_section(header: &str, spec: &mut ScenarioSpec) -> std::result::Result<Section, String> {
+    if let Some(id) = header.strip_prefix("machine.") {
+        if id.is_empty() {
+            return Err("machine section needs an id".into());
+        }
+        spec.machines.push(MachineClass::new(id, MachineKind::Yeti));
+        return Ok(Section::Machine(spec.machines.len() - 1));
+    }
+    if let Some(id) = header.strip_prefix("node.") {
+        if id.is_empty() {
+            return Err("node section needs an id".into());
+        }
+        spec.nodes.push(NodeSpec {
+            id: id.to_string(),
+            machine: String::new(),
+            tenants: Vec::new(),
+            weights: Vec::new(),
+        });
+        return Ok(Section::Node(spec.nodes.len() - 1));
+    }
+    match header {
+        "scenario" => Ok(Section::Scenario),
+        "arrival" => Ok(Section::Arrival),
+        _ => Err(format!(
+            "unknown section [{header}] (expected [scenario], [arrival], [machine.<id>] or [node.<id>])"
+        )),
+    }
+}
+
 fn parse_spec(text: &str) -> Result<ScenarioSpec> {
     let bad = |line: usize, why: String| Error::invalid("scenario", format!("line {line}: {why}"));
 
@@ -559,65 +594,21 @@ fn parse_spec(text: &str) -> Result<ScenarioSpec> {
     };
     let mut section = Section::None;
 
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-
-        if let Some(header) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            let header = header.trim();
-            section = match header {
-                "scenario" => Section::Scenario,
-                "arrival" => Section::Arrival,
-                _ => {
-                    if let Some(id) = header.strip_prefix("machine.") {
-                        if id.is_empty() {
-                            return Err(bad(lineno, "machine section needs an id".into()));
-                        }
-                        spec.machines.push(MachineClass::new(id, MachineKind::Yeti));
-                        Section::Machine(spec.machines.len() - 1)
-                    } else if let Some(id) = header.strip_prefix("node.") {
-                        if id.is_empty() {
-                            return Err(bad(lineno, "node section needs an id".into()));
-                        }
-                        spec.nodes.push(NodeSpec {
-                            id: id.to_string(),
-                            machine: String::new(),
-                            tenants: Vec::new(),
-                            weights: Vec::new(),
-                        });
-                        Section::Node(spec.nodes.len() - 1)
-                    } else {
-                        return Err(bad(
-                            lineno,
-                            format!(
-                                "unknown section [{header}] (expected [scenario], [arrival], [machine.<id>] or [node.<id>])"
-                            ),
-                        ));
-                    }
-                }
-            };
-            continue;
-        }
-
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(bad(lineno, format!("expected key = value, got {line:?}")));
+    for (lineno, line) in toml_subset::lines(text) {
+        let (key, value) = match line.map_err(|why| bad(lineno, why))? {
+            Line::Section(header) => {
+                section = open_section(header, &mut spec).map_err(|why| bad(lineno, why))?;
+                continue;
+            }
+            Line::Pair(key, value) => (key, value),
         };
-        let key = key.trim();
-        let value = value.trim();
-        let num = |v: &str| -> std::result::Result<f64, String> {
-            v.parse::<f64>().map_err(|_| format!("bad number {v}"))
-        };
-
         let result: std::result::Result<(), String> = match &section {
             Section::None => Err(format!("key {key} before any [section] header")),
             Section::Scenario => match key {
                 "name" => parse_string(value).map(|v| spec.name = v),
                 "duration_s" => num(value).map(|v| spec.duration_s = v),
-                "interval_ms" => num(value).map(|v| spec.interval_ms = v as u64),
-                "epoch_intervals" => num(value).map(|v| spec.epoch_intervals = v as u32),
+                "interval_ms" => parse_integer(value).map(|v| spec.interval_ms = v),
+                "epoch_intervals" => parse_integer(value).map(|v| spec.epoch_intervals = v),
                 "budget_w" => num(value).map(|v| spec.budget_w = v),
                 "slo_backlog_s" => num(value).map(|v| spec.slo_backlog_s = v),
                 other => Err(format!("unknown [scenario] key {other}")),
@@ -667,8 +658,8 @@ fn parse_spec(text: &str) -> Result<ScenarioSpec> {
                 let n = &mut spec.nodes[*i];
                 match key {
                     "machine" => parse_string(value).map(|v| n.machine = v),
-                    "tenants" => parse_string_array(value).map(|v| n.tenants = v),
-                    "weights" => parse_number_array(value).map(|v| n.weights = v),
+                    "tenants" => parse_array(value, parse_string).map(|v| n.tenants = v),
+                    "weights" => parse_array(value, num).map(|v| n.weights = v),
                     other => Err(format!("unknown [node] key {other}")),
                 }
             }
@@ -689,52 +680,6 @@ fn parse_spec(text: &str) -> Result<ScenarioSpec> {
         ));
     }
     Ok(spec)
-}
-
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_string(v: &str) -> std::result::Result<String, String> {
-    let inner = v
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("expected a double-quoted string, got {v}"))?;
-    if inner.contains('"') {
-        return Err(format!("embedded quotes are not supported: {v}"));
-    }
-    Ok(inner.to_string())
-}
-
-fn parse_string_array(v: &str) -> std::result::Result<Vec<String>, String> {
-    array_elements(v)?.iter().map(|e| parse_string(e)).collect()
-}
-
-fn parse_number_array(v: &str) -> std::result::Result<Vec<f64>, String> {
-    array_elements(v)?
-        .iter()
-        .map(|e| e.parse::<f64>().map_err(|_| format!("bad number {e}")))
-        .collect()
-}
-
-fn array_elements(v: &str) -> std::result::Result<Vec<String>, String> {
-    let inner = v
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| format!("expected a [ ... ] array, got {v}"))?;
-    let trimmed = inner.trim();
-    if trimmed.is_empty() {
-        return Ok(Vec::new());
-    }
-    Ok(trimmed.split(',').map(|e| e.trim().to_string()).collect())
 }
 
 #[cfg(test)]
@@ -771,6 +716,21 @@ mod tests {
         assert!(detail(err).contains("line 1"));
         let err = ScenarioSpec::from_toml("name = \"x\"\n").unwrap_err();
         assert!(detail(err).contains("before any [section]"));
+    }
+
+    #[test]
+    fn integer_keys_reject_fractions_and_out_of_range_values() {
+        for (line, want) in [
+            ("interval_ms = 200.9", "integer"),
+            ("interval_ms = 1e30", "integer"),
+            ("epoch_intervals = 5e12", "integer"),
+            ("epoch_intervals = 2.7", "integer"),
+            ("epoch_intervals = 5000000000000", "out of range"),
+        ] {
+            let text = format!("[scenario]\n{line}\n");
+            let d = detail(ScenarioSpec::from_toml(&text).unwrap_err());
+            assert!(d.contains("line 2") && d.contains(want), "{line:?} → {d}");
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! This crate defines the strongly-typed physical units (frequency, power,
 //! energy, throughput), hardware identifiers, architecture descriptions and
-//! the common error type used by every other crate in the workspace.
+//! the common error type used by every other crate in the workspace, plus
+//! two helpers those crates share: the reader for the suite's TOML-subset
+//! config files ([`toml_subset`]) and the SplitMix64 generator behind its
+//! seeded streams ([`rng`]).
 //!
 //! The design goal is that quantities with different dimensions can never be
 //! confused: a [`units::Watts`] cannot be added to a [`units::Joules`], a
@@ -16,8 +19,10 @@
 pub mod arch;
 pub mod error;
 pub mod ids;
+pub mod rng;
 pub mod shutdown;
 pub mod time;
+pub mod toml_subset;
 pub mod units;
 
 pub use arch::ArchSpec;
