@@ -37,7 +37,7 @@
 use crate::config::CoordinatorConfig;
 use crate::core::{EpochStep, FleetCore, NodeState};
 use crate::fleet_journal::FleetEvent;
-use crate::netfault::{Dir, NetFaultInjector, NetFaultOp, NetFaultPlan};
+use crate::netfault::{Dir, FrameFate, NetFaultInjector, NetFaultOp, NetFaultPlan};
 use crate::vet::Trust;
 use crate::wire::Frame;
 use dufp_msr::fault::{FaultInjector, FaultOp, FaultPlan};
@@ -46,6 +46,7 @@ use dufp_telemetry::Telemetry;
 use dufp_types::rng::{next_uniform, GAMMA};
 use dufp_types::{Error, Result, Watts};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// How a chaos soak is shaped. Defaults match the CI matrix: 8 agents,
@@ -297,10 +298,10 @@ impl ScenarioScore {
 /// A queued down-frame: the epoch it becomes deliverable, and its bytes.
 type Queued = (u64, Vec<u8>);
 
-/// A queued up-frame: deliverable epoch, destination coordinator, bytes.
-/// The destination is fixed at send time — a frame in flight to a dead
-/// coordinator is lost, never silently rerouted.
-type QueuedUp = (u64, usize, Vec<u8>);
+/// A queued up-frame: deliverable epoch, then destination coordinator and
+/// bytes. The destination is fixed at send time — a frame in flight to a
+/// dead coordinator is lost, never silently rerouted.
+type QueuedUp = (u64, (usize, Vec<u8>));
 
 /// Epochs an agent tolerates without a live coordinator link before it
 /// falls back to the safe local cap.
@@ -308,8 +309,9 @@ const DISCONNECT_GRACE_EPOCHS: u64 = 2;
 
 /// One simulated agent in the chaos fleet.
 struct SimAgent {
-    idx: usize,
     name: String,
+    /// Whether the plan ever turns this agent byzantine (fixed per run).
+    byzantine: bool,
     rng: u64,
     /// Wandering honest demand in watts.
     demand: f64,
@@ -347,13 +349,13 @@ struct SimAgent {
 }
 
 impl SimAgent {
-    fn new(idx: usize, cfg: &ChaosConfig) -> Self {
+    fn new(idx: usize, cfg: &ChaosConfig, net: &NetFaultInjector) -> Self {
         let mut rng = cfg.seed.wrapping_add((idx as u64 + 1).wrapping_mul(GAMMA));
         let span = cfg.node_max.value() - cfg.floor.value();
         let demand = cfg.floor.value() + next_uniform(&mut rng) * span;
         SimAgent {
-            idx,
             name: format!("n{idx}"),
+            byzantine: net.is_ever_byzantine(idx),
             rng,
             demand,
             ceiling: cfg.safe_cap.value(),
@@ -435,9 +437,15 @@ pub struct ChaosFleet {
     net: NetFaultInjector,
     msr: FaultInjector,
     agents: Vec<SimAgent>,
+    /// Agent index by name, for reading the cores' name-keyed records.
+    by_name: HashMap<String, usize>,
+    /// Reused delivery buffers: frames due this epoch, drained per agent.
+    up_due: Vec<QueuedUp>,
+    down_due: Vec<Queued>,
     /// The primary's input log — the in-memory stand-in for the on-disk
     /// `dufp-journal` stream the TCP plane writes (same events, same
-    /// order). The standby replays it at promotion.
+    /// order). The standby replays it at promotion; without a standby
+    /// nothing would read it, so it stays empty (see [`Self::logs`]).
     event_log: Vec<FleetEvent>,
     /// The primary's core snapshot frozen at the instant of its kill;
     /// the replay must rebuild it byte-identically.
@@ -480,9 +488,19 @@ impl ChaosFleet {
         coord_cfg.validate()?;
         let mut msr_plan = cfg.msr_plan.clone();
         msr_plan.seed = msr_plan.seed.wrapping_add(cfg.seed);
-        let agents = (0..cfg.agents).map(|i| SimAgent::new(i, &cfg)).collect();
         let net = NetFaultInjector::new(plan);
-        let mut primary = FleetCore::new(&coord_cfg, Telemetry::enabled());
+        let agents: Vec<SimAgent> = (0..cfg.agents)
+            .map(|i| SimAgent::new(i, &cfg, &net))
+            .collect();
+        let by_name = agents
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (a.name.clone(), i))
+            .collect();
+        // Nothing reads a chaos core's telemetry (the scorecard comes from
+        // the fleet's own tallies and `views()`), so every core runs on
+        // the null handle: no event ring to allocate, no counters to bump.
+        let mut primary = FleetCore::new(&coord_cfg, Telemetry::disabled());
         let mut coords = Vec::new();
         if net.has_coord_kill() {
             // A killable primary self-fences when its virtual clock pauses
@@ -495,7 +513,7 @@ impl ChaosFleet {
                 alive: true,
             });
             coords.push(CoordSim {
-                core: FleetCore::new(&coord_cfg, Telemetry::enabled()),
+                core: FleetCore::new(&coord_cfg, Telemetry::disabled()),
                 slot_owner: Vec::new(),
                 alive: false,
             });
@@ -511,6 +529,9 @@ impl ChaosFleet {
             net,
             msr: FaultInjector::new(msr_plan),
             agents,
+            by_name,
+            up_due: Vec::new(),
+            down_due: Vec::new(),
             event_log: Vec::new(),
             dead_primary_snapshot: None,
             kill_epoch: None,
@@ -572,8 +593,7 @@ impl ChaosFleet {
             if killed && self.agents[i].alive {
                 self.agents[i].die(epoch);
             } else if !killed && !self.agents[i].alive {
-                let cfg = self.cfg.clone();
-                self.agents[i].restart(&cfg);
+                self.agents[i].restart(&self.cfg);
             }
         }
 
@@ -587,17 +607,19 @@ impl ChaosFleet {
         // allocator close, matching the TCP plane's report-then-allocate
         // cadence.
         let ingest_ms = epoch * 1000 - 500;
+        let mut due = std::mem::take(&mut self.up_due);
         for i in 0..self.agents.len() {
-            let due = drain_due_up(&mut self.agents[i].up, epoch);
-            for (dest, bytes) in due {
+            drain_due(&mut self.agents[i].up, epoch, &mut due);
+            for (_, (dest, bytes)) in due.drain(..) {
                 if self.coords[dest].alive {
-                    self.ingest(i, dest, &bytes, ingest_ms, epoch);
+                    self.ingest(i, dest, &bytes, ingest_ms);
                 } else {
                     // In flight to a dead coordinator: lost with the host.
                     self.tallies.frames_dropped += 1;
                 }
             }
         }
+        self.up_due = due;
 
         // One allocator epoch per live coordinator. A fenced core runs a
         // frozen epoch (no grants, no reclaims); each record is checked
@@ -608,7 +630,7 @@ impl ChaosFleet {
             if !self.coords[c].alive {
                 continue;
             }
-            if c == 0 && self.kill_epoch.is_none() {
+            if self.logs(c) {
                 self.event_log.push(FleetEvent::Epoch {
                     now_ms: epoch * 1000,
                 });
@@ -657,7 +679,7 @@ impl ChaosFleet {
     /// hold-down window keeps every replayed-but-unattached node's watts
     /// reserved, so Σ granted ≤ budget holds *across* the handover.
     fn promote_standby(&mut self) {
-        let mut core = FleetCore::new(&self.coord_cfg, Telemetry::enabled());
+        let mut core = FleetCore::new(&self.coord_cfg, Telemetry::disabled());
         for ev in &self.event_log {
             ev.apply(&mut core);
         }
@@ -672,6 +694,12 @@ impl ChaosFleet {
         standby.slot_owner = owners;
         standby.alive = true;
         self.promoted = true;
+    }
+
+    /// Whether coordinator `c`'s inputs go to the event log: the
+    /// primary's, until it dies, when a standby will replay them.
+    fn logs(&self, c: usize) -> bool {
+        c == 0 && self.kill_epoch.is_none() && self.coords.len() > 1
     }
 
     /// The coordinator a fresh dial reaches: the first listening (alive,
@@ -724,8 +752,9 @@ impl ChaosFleet {
 
         // Apply deliverable grants (epoch-monotonic, unless the MSR fault
         // plan says this epoch's cap write fails).
-        let due = drain_due(&mut self.agents[i].down, epoch);
-        for bytes in due {
+        let mut due = std::mem::take(&mut self.down_due);
+        drain_due(&mut self.agents[i].down, epoch, &mut due);
+        for (_, bytes) in due.drain(..) {
             let frame = match Frame::decode(&bytes) {
                 Ok(f) => f,
                 Err(_) => {
@@ -777,6 +806,7 @@ impl ChaosFleet {
                 _ => self.tallies.wire_errors += 1,
             }
         }
+        self.down_due = due;
 
         // Safe-cap fallback after the grace period without a link.
         {
@@ -939,14 +969,7 @@ impl ChaosFleet {
             self.tallies.frames_corrupted += 1;
         }
         let deliver = epoch + fate.delay_epochs;
-        let queue = &mut self.agents[i].up;
-        for _ in 0..=fate.duplicates {
-            queue.push((deliver, dest, bytes.clone()));
-        }
-        if fate.reorder && queue.len() >= 2 {
-            let n = queue.len();
-            queue.swap(n - 1, n - 2);
-        }
+        enqueue(&mut self.agents[i].up, (deliver, (dest, bytes)), fate);
     }
 
     /// Queues one down-frame (grant/Goodbye) through the chaos transport.
@@ -968,21 +991,15 @@ impl ChaosFleet {
         // A grant sent during epoch e is applicable from e+1: the TCP
         // plane's agents also see grants one reporting beat later.
         let deliver = epoch + 1 + fate.delay_epochs;
-        let queue = &mut self.agents[i].down;
-        for _ in 0..=fate.duplicates {
-            queue.push((deliver, bytes.clone()));
-        }
-        if fate.reorder && queue.len() >= 2 {
-            let n = queue.len();
-            queue.swap(n - 1, n - 2);
-        }
+        enqueue(&mut self.agents[i].down, (deliver, bytes), fate);
     }
 
     /// Feeds one delivered up-frame into coordinator `c`'s core. The
     /// primary's inputs are mirrored into the in-memory event journal
-    /// until it dies; replaying those events re-drives the same core
-    /// entry points, so even vetoed frames replay identically.
-    fn ingest(&mut self, i: usize, c: usize, bytes: &[u8], now_ms: u64, epoch: u64) {
+    /// until it dies, when a standby exists; replaying those events
+    /// re-drives the same core entry points, so even vetoed frames replay
+    /// identically.
+    fn ingest(&mut self, i: usize, c: usize, bytes: &[u8], now_ms: u64) {
         let frame = match Frame::decode(bytes) {
             Ok(f) => f,
             Err(_) => {
@@ -990,7 +1007,7 @@ impl ChaosFleet {
                 return;
             }
         };
-        let logging = c == 0 && self.kill_epoch.is_none();
+        let logging = self.logs(c);
         match frame {
             Frame::Hello {
                 node,
@@ -1096,7 +1113,6 @@ impl ChaosFleet {
                 self.tallies.wire_errors += 1; // wrong-direction frame
             }
         }
-        let _ = epoch;
     }
 
     /// Epoch-close invariant checks and latency metrics.
@@ -1107,55 +1123,54 @@ impl ChaosFleet {
         }
 
         // Honest floors: every live, non-quarantined honest agent that
-        // appears in the grant table keeps at least its floor.
+        // appears in the grant table keeps at least its floor. The
+        // quarantine list is searched only for a grant below the floor.
+        let floor = self.cfg.floor.value() - 1e-6;
         for (name, watts) in &record.granted {
-            if record.quarantined.contains(name) {
-                continue;
-            }
-            let Some(agent) = self.agents.iter().find(|a| &a.name == name) else {
+            let Some(&i) = self.by_name.get(name) else {
                 continue;
             };
-            if self.net.is_ever_byzantine(agent.idx) {
-                continue;
-            }
-            if *watts < self.cfg.floor.value() - 1e-6 {
+            if *watts < floor && !self.agents[i].byzantine && !record.quarantined.contains(name) {
                 self.tallies.floor_violations += 1;
             }
         }
 
         // Reclaim latency: a killed agent's name showing up in this
         // epoch's reclaims resolves its pending kill clock.
-        for i in 0..self.agents.len() {
-            let name = self.agents[i].name.clone();
-            if let Some(killed_at) = self.agents[i].killed_at {
-                if record.reclaimed.contains(&name) {
-                    let delay = epoch.saturating_sub(killed_at);
-                    self.max_reclaim = Some(self.max_reclaim.unwrap_or(0).max(delay));
-                    self.agents[i].killed_at = None;
-                }
+        for name in &record.reclaimed {
+            let Some(&i) = self.by_name.get(name) else {
+                continue;
+            };
+            if let Some(killed_at) = self.agents[i].killed_at.take() {
+                let delay = epoch.saturating_sub(killed_at);
+                self.max_reclaim = Some(self.max_reclaim.unwrap_or(0).max(delay));
             }
+        }
 
-            // Quarantine latency, measured from the first effective lie.
-            if self.first_quarantined[i].is_none()
-                && (record.quarantined.contains(&name) || record.evicted.contains(&name))
-            {
-                self.first_quarantined[i] = Some(epoch);
-                if let Some(lie) = self.agents[i].first_lie {
-                    let delay = epoch.saturating_sub(lie) + 1;
-                    self.max_quarantine_delay =
-                        Some(self.max_quarantine_delay.unwrap_or(0).max(delay));
-                }
+        // Quarantine latency, measured from the first effective lie.
+        for name in record.quarantined.iter().chain(&record.evicted) {
+            let Some(&i) = self.by_name.get(name) else {
+                continue;
+            };
+            if self.first_quarantined[i].is_some() {
+                continue;
+            }
+            self.first_quarantined[i] = Some(epoch);
+            if let Some(lie) = self.agents[i].first_lie {
+                let delay = epoch.saturating_sub(lie) + 1;
+                self.max_quarantine_delay = Some(self.max_quarantine_delay.unwrap_or(0).max(delay));
             }
         }
     }
 
     /// Final scorecard for the completed soak.
     fn score(self) -> ScenarioScore {
-        let byz_total = (0..self.cfg.agents)
-            .filter(|&i| self.net.is_ever_byzantine(i))
-            .count();
-        let byz_quarantined = (0..self.cfg.agents)
-            .filter(|&i| self.net.is_ever_byzantine(i) && self.first_quarantined[i].is_some())
+        let byz_total = self.agents.iter().filter(|a| a.byzantine).count();
+        let byz_quarantined = self
+            .agents
+            .iter()
+            .zip(&self.first_quarantined)
+            .filter(|(a, q)| a.byzantine && q.is_some())
             .count();
         let authoritative = if self.promoted {
             &self.coords[1]
@@ -1246,34 +1261,25 @@ pub fn run_matrix(cfg: &ChaosConfig) -> Result<Vec<ScenarioScore>> {
     Ok(cards)
 }
 
-/// Pops every queued up-frame due at `epoch`, preserving queue order.
-fn drain_due_up(queue: &mut Vec<QueuedUp>, epoch: u64) -> Vec<(usize, Vec<u8>)> {
-    let mut due = Vec::new();
-    let mut keep = Vec::with_capacity(queue.len());
-    for (deliver, dest, bytes) in queue.drain(..) {
-        if deliver <= epoch {
-            due.push((dest, bytes));
-        } else {
-            keep.push((deliver, dest, bytes));
-        }
+/// Queues one frame, keyed by its delivery epoch, plus `fate.duplicates`
+/// extra copies; the last copy is the frame itself, moved rather than
+/// cloned. A reordered frame swaps places with the one queued before it.
+fn enqueue<T: Clone>(queue: &mut Vec<(u64, T)>, frame: (u64, T), fate: FrameFate) {
+    for _ in 0..fate.duplicates {
+        queue.push(frame.clone());
     }
-    *queue = keep;
-    due
+    queue.push(frame);
+    if fate.reorder && queue.len() >= 2 {
+        let n = queue.len();
+        queue.swap(n - 1, n - 2);
+    }
 }
 
-/// Pops every queued frame due at `epoch`, preserving queue order.
-fn drain_due(queue: &mut Vec<Queued>, epoch: u64) -> Vec<Vec<u8>> {
-    let mut due = Vec::new();
-    let mut keep = Vec::with_capacity(queue.len());
-    for (deliver, bytes) in queue.drain(..) {
-        if deliver <= epoch {
-            due.push(bytes);
-        } else {
-            keep.push((deliver, bytes));
-        }
-    }
-    *queue = keep;
-    due
+/// Moves every queued frame due at `epoch` onto the end of `due`. Both
+/// the moved frames and those left queued keep their order; nothing is
+/// allocated beyond what `due` needs to grow.
+fn drain_due<T>(queue: &mut Vec<(u64, T)>, epoch: u64, due: &mut Vec<(u64, T)>) {
+    due.extend(queue.extract_if(.., |(deliver, _)| *deliver <= epoch));
 }
 
 /// Deterministic single-bit corruption; the frame CRC must catch it.
@@ -1286,6 +1292,86 @@ fn corrupt(bytes: &mut [u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fate(duplicates: u64, reorder: bool) -> FrameFate {
+        FrameFate {
+            duplicates,
+            reorder,
+            ..FrameFate::default()
+        }
+    }
+
+    /// Due-epoch keys and payloads of a down-queue, for compact asserts.
+    fn keys(queue: &[Queued]) -> Vec<(u64, u8)> {
+        queue.iter().map(|(d, b)| (*d, b[0])).collect()
+    }
+
+    #[test]
+    fn drain_due_moves_every_frame_when_the_whole_queue_is_due() {
+        let mut queue: Vec<Queued> = vec![(3, vec![1]), (1, vec![2]), (2, vec![3])];
+        let mut due = Vec::new();
+        drain_due(&mut queue, 3, &mut due);
+        assert!(queue.is_empty());
+        assert_eq!(keys(&due), [(3, 1), (1, 2), (2, 3)], "queue order kept");
+    }
+
+    #[test]
+    fn drain_due_leaves_a_queue_with_nothing_due_untouched() {
+        let mut queue: Vec<Queued> = vec![(5, vec![1]), (4, vec![2])];
+        let mut due = Vec::new();
+        drain_due(&mut queue, 3, &mut due);
+        assert!(due.is_empty());
+        assert_eq!(keys(&queue), [(5, 1), (4, 2)]);
+    }
+
+    #[test]
+    fn drain_due_splits_a_mixed_queue_keeping_both_orders() {
+        let mut queue: Vec<Queued> = vec![
+            (1, vec![1]),
+            (4, vec![2]),
+            (2, vec![3]),
+            (9, vec![4]),
+            (2, vec![5]),
+        ];
+        let mut due = vec![(0, vec![0])]; // drained frames are appended
+        drain_due(&mut queue, 2, &mut due);
+        assert_eq!(keys(&due), [(0, 0), (1, 1), (2, 3), (2, 5)]);
+        assert_eq!(keys(&queue), [(4, 2), (9, 4)], "not-yet-due frames stay");
+        due.clear();
+        drain_due(&mut queue, 4, &mut due);
+        assert_eq!(keys(&due), [(4, 2)]);
+        assert_eq!(keys(&queue), [(9, 4)]);
+    }
+
+    #[test]
+    fn up_frames_keep_their_destination_and_order_through_a_reorder() {
+        let mut queue: Vec<QueuedUp> = Vec::new();
+        enqueue(&mut queue, (1, (0, vec![1])), fate(0, false));
+        enqueue(&mut queue, (3, (1, vec![2])), fate(0, false));
+        enqueue(&mut queue, (1, (1, vec![3])), fate(0, true)); // swaps with [2]
+        enqueue(&mut queue, (1, (0, vec![4])), fate(0, false));
+        let mut due = Vec::new();
+        drain_due(&mut queue, 1, &mut due);
+        let got: Vec<(usize, u8)> = due.iter().map(|(_, (c, b))| (*c, b[0])).collect();
+        assert_eq!(got, [(0, 1), (1, 3), (0, 4)]);
+        assert_eq!(queue, [(3, (1, vec![2]))]);
+    }
+
+    #[test]
+    fn duplicates_queue_n_plus_one_copies() {
+        for n in 0..4u64 {
+            let mut queue: Vec<Queued> = vec![(1, vec![0])];
+            enqueue(&mut queue, (2, vec![7, 7]), fate(n, false));
+            assert_eq!(queue.len() as u64, n + 2, "n={n}");
+            assert!(queue[1..].iter().all(|f| *f == (2, vec![7, 7])), "n={n}");
+            // A reorder swaps only the newest copy with its predecessor.
+            let mut queue: Vec<Queued> = vec![(1, vec![0])];
+            enqueue(&mut queue, (2, vec![7]), fate(n, true));
+            let want_first = if n == 0 { (2, 7) } else { (1, 0) };
+            assert_eq!(keys(&queue)[0], want_first, "n={n}");
+            assert_eq!(queue.len() as u64, n + 2, "n={n}");
+        }
+    }
 
     #[test]
     fn every_builtin_scenario_conserves_and_keeps_honest_floors() {

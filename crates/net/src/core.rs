@@ -26,10 +26,11 @@ use crate::fleet_journal::{FleetEvent, FleetJournal};
 use crate::vet::{FrameVerdict, NodeVet, Trust, VetConfig};
 use crate::wire::{Frame, GrantKind};
 use dufp_cluster::allocator::{AllocatorPolicy, DemandBased, NodeObservation, StaticSplit};
-use dufp_telemetry::{Actuator, DecisionEvent, Reason, Telemetry};
+use dufp_telemetry::{Actuator, Counter, DecisionEvent, Reason, Telemetry};
 use dufp_types::{Error, Result, Watts};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Epochs a freshly promoted coordinator keeps replayed-but-unattached
 /// nodes *pinned*: their last granted watts stay reserved (off the top of
@@ -168,6 +169,44 @@ pub struct CoreSnapshot {
     nodes: Vec<NodeSnap>,
 }
 
+/// The counters a core bumps; each indexes [`CTR_NAMES`] and
+/// `FleetCore::counters`.
+#[derive(Clone, Copy)]
+enum Ctr {
+    TermFences,
+    Takeovers,
+    JournalErrors,
+    AdmissionRejects,
+    Reports,
+    DuplicateFrames,
+    ReplaysRejected,
+    RateLimited,
+    DemandVetoes,
+    Heartbeats,
+    Evictions,
+    Quarantines,
+    BudgetReclaims,
+    GrantsIssued,
+}
+
+/// Registry name of each [`Ctr`], in declaration order.
+const CTR_NAMES: [&str; 14] = [
+    "term_fences_total",
+    "takeovers_total",
+    "journal_errors_total",
+    "admission_rejects_total",
+    "reports_total",
+    "duplicate_frames_total",
+    "replays_rejected_total",
+    "rate_limited_total",
+    "demand_vetoes_total",
+    "heartbeats_total",
+    "evictions_total",
+    "quarantines_total",
+    "budget_reclaims_total",
+    "grants_issued_total",
+];
+
 /// The transport-independent coordinator brain. See the module docs.
 pub struct FleetCore {
     budget: Watts,
@@ -179,6 +218,9 @@ pub struct FleetCore {
     blacklist: HashSet<String>,
     epoch: u64,
     tel: Telemetry,
+    /// Counter handles, each resolved from `tel` on its first increment
+    /// and held from then on (see [`FleetCore::count`]).
+    counters: [Option<Arc<Counter>>; CTR_NAMES.len()],
     /// Monotonic coordination term; grants carry it and agents apply
     /// grants in `(term, epoch)` lexicographic order.
     term: u64,
@@ -219,6 +261,7 @@ impl FleetCore {
             blacklist: HashSet::new(),
             epoch: 0,
             tel,
+            counters: Default::default(),
             term: 1,
             fenced_by: None,
             hold_until_epoch: 0,
@@ -349,7 +392,7 @@ impl FleetCore {
         }
         self.journal_event(&FleetEvent::Fence { term });
         self.fenced_by = Some(term);
-        self.tel.counter("term_fences_total").inc();
+        self.count(Ctr::TermFences);
         self.record(
             0,
             self.last_epoch_ms.unwrap_or(0),
@@ -377,7 +420,7 @@ impl FleetCore {
         self.fenced_by = None; // clear before journaling: a fenced core's journal is closed
         self.hold_until_epoch = self.epoch + HANDOVER_HOLD_EPOCHS;
         self.journal_event(&FleetEvent::TermBump { term });
-        self.tel.counter("takeovers_total").inc();
+        self.count(Ctr::Takeovers);
         self.record(
             0,
             self.last_epoch_ms.unwrap_or(0),
@@ -385,6 +428,19 @@ impl FleetCore {
             term as f64,
             Reason::TookOver,
         );
+    }
+
+    /// Bumps counter `c`. A lookup by name allocates a `String` and takes
+    /// the registry lock, a held handle is one atomic add; resolving on
+    /// first use keeps the registered set to the counters that ever
+    /// fired. A disabled handle records nothing.
+    fn count(&mut self, c: Ctr) {
+        if self.tel.is_enabled() {
+            let tel = &self.tel;
+            self.counters[c as usize]
+                .get_or_insert_with(|| tel.counter(CTR_NAMES[c as usize]))
+                .inc();
+        }
     }
 
     fn journal_event(&mut self, ev: &FleetEvent) {
@@ -400,7 +456,7 @@ impl FleetCore {
         if j.record(ev).is_err() {
             // A full disk must not kill the fleet; the failure is counted
             // and the core keeps serving (recovery fidelity degrades).
-            self.tel.counter("journal_errors_total").inc();
+            self.count(Ctr::JournalErrors);
         }
     }
 
@@ -456,7 +512,7 @@ impl FleetCore {
         now_ms: u64,
     ) -> Result<usize> {
         if let Some(theirs) = self.fenced_by {
-            self.tel.counter("admission_rejects_total").inc();
+            self.count(Ctr::AdmissionRejects);
             return Err(Error::Fenced {
                 ours: self.term,
                 theirs,
@@ -467,7 +523,7 @@ impl FleetCore {
             || !node_max.value().is_finite()
             || floor > node_max
         {
-            self.tel.counter("admission_rejects_total").inc();
+            self.count(Ctr::AdmissionRejects);
             return Err(Error::invalid(
                 "hello",
                 format!(
@@ -478,7 +534,7 @@ impl FleetCore {
             ));
         }
         if self.blacklist.contains(&name) {
-            self.tel.counter("admission_rejects_total").inc();
+            self.count(Ctr::AdmissionRejects);
             return Err(Error::Precondition(format!(
                 "node {name} was evicted; readmission refused"
             )));
@@ -553,17 +609,17 @@ impl FleetCore {
             FrameVerdict::Accepted => {
                 n.last_seen_ms = now_ms;
                 n.report = Some((ceiling, consumption, active));
-                self.tel.counter("reports_total").inc();
+                self.count(Ctr::Reports);
             }
             FrameVerdict::Duplicate => {
                 // A lossy path duplicated the frame; the node is alive.
                 n.last_seen_ms = now_ms;
-                self.tel.counter("duplicate_frames_total").inc();
+                self.count(Ctr::DuplicateFrames);
             }
             FrameVerdict::Replay => {
                 n.last_seen_ms = now_ms;
                 let last = n.vet.last_report_seq();
-                self.tel.counter("replays_rejected_total").inc();
+                self.count(Ctr::ReplaysRejected);
                 self.record(
                     slot,
                     now_ms,
@@ -578,7 +634,7 @@ impl FleetCore {
                 // alive, so the heartbeat clock resets even though the
                 // frame's content is dropped unprocessed.
                 self.nodes[slot].last_seen_ms = now_ms;
-                self.tel.counter("rate_limited_total").inc();
+                self.count(Ctr::RateLimited);
                 // One event per node per epoch, not one per dropped frame
                 // — a storm must not flood the telemetry ring.
                 if self.nodes[slot].vet.just_hit_report_limit(&self.vet_cfg) {
@@ -588,7 +644,7 @@ impl FleetCore {
             }
             FrameVerdict::Vetoed => {
                 n.last_seen_ms = now_ms;
-                self.tel.counter("demand_vetoes_total").inc();
+                self.count(Ctr::DemandVetoes);
                 let shown = if consumption.value().is_finite() {
                     consumption.value()
                 } else {
@@ -617,15 +673,15 @@ impl FleetCore {
                 // As in `on_report`: the storm is dropped, but the node
                 // has proven it is alive.
                 n.last_seen_ms = now_ms;
-                self.tel.counter("rate_limited_total").inc();
+                self.count(Ctr::RateLimited);
             }
             FrameVerdict::Replay => {
                 n.last_seen_ms = now_ms;
-                self.tel.counter("replays_rejected_total").inc();
+                self.count(Ctr::ReplaysRejected);
             }
             _ => {
                 n.last_seen_ms = now_ms;
-                self.tel.counter("heartbeats_total").inc();
+                self.count(Ctr::Heartbeats);
             }
         }
         verdict
@@ -710,9 +766,9 @@ impl FleetCore {
                     evicted_now.push(name);
                     self.nodes[i].state = NodeState::Evicted;
                     disconnects.push(i);
-                    self.tel.counter("evictions_total").inc();
+                    self.count(Ctr::Evictions);
                 } else if new == Trust::Quarantined {
-                    self.tel.counter("quarantines_total").inc();
+                    self.count(Ctr::Quarantines);
                 }
             }
         }
@@ -739,7 +795,7 @@ impl FleetCore {
                 self.nodes[i].granted = Watts::ZERO;
                 reclaimed.push(name);
                 reclaimed_watts += had;
-                self.tel.counter("budget_reclaims_total").inc();
+                self.count(Ctr::BudgetReclaims);
                 self.record(i, now_ms, had, 0.0, Reason::BudgetReclaim);
             }
         }
@@ -860,7 +916,7 @@ impl FleetCore {
                 };
                 let (o, c) = (old.value(), ceiling.value());
                 n.granted = ceiling;
-                self.tel.counter("grants_issued_total").inc();
+                self.count(Ctr::GrantsIssued);
                 self.record(i, now_ms, o, c, reason);
             }
             let n = &self.nodes[i];
@@ -935,13 +991,13 @@ impl FleetCore {
         let bytes = match self.snapshot_bytes() {
             Ok(b) => b,
             Err(_) => {
-                self.tel.counter("journal_errors_total").inc();
+                self.count(Ctr::JournalErrors);
                 return;
             }
         };
         if let Some(j) = self.journal.as_mut() {
             if j.checkpoint(&bytes).is_err() {
-                self.tel.counter("journal_errors_total").inc();
+                self.count(Ctr::JournalErrors);
             }
         }
     }
@@ -1264,6 +1320,86 @@ mod tests {
             reclaimed_b |= step.record.reclaimed.contains(&"b".to_string());
         }
         assert!(reclaimed_b, "stale slot must be reclaimed after the hold");
+    }
+
+    fn counters(core: &FleetCore) -> Vec<(String, u64)> {
+        core.tel
+            .metrics_snapshot()
+            .counters
+            .into_iter()
+            .map(|c| (c.name, c.value))
+            .collect()
+    }
+
+    fn pinned(want: &[(&str, u64)]) -> Vec<(String, u64)> {
+        want.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+    }
+
+    /// A fixed frame sequence must register exactly the counters that
+    /// fired, with the values recorded before counter handles were held.
+    #[test]
+    fn counters_register_on_first_use_with_pinned_values() {
+        let mut core = core(300.0);
+        let a = admit(&mut core, "a");
+        let b = admit(&mut core, "b");
+        assert!(counters(&core).is_empty(), "admission alone counts nothing");
+
+        core.on_report(a, 1, Watts(90.0), Watts(85.0), true, 500);
+        core.on_report(a, 1, Watts(90.0), Watts(85.0), true, 600); // duplicate
+        core.on_heartbeat(a, 1, 700);
+        core.on_report(b, 1, Watts(f64::NAN), Watts(-1.0), true, 500); // vetoed
+        core.epoch_once(1000);
+        // No replay, reclaim or fence has happened yet, so none of their
+        // counters is registered.
+        assert_eq!(
+            counters(&core),
+            pinned(&[
+                ("demand_vetoes_total", 1),
+                ("duplicate_frames_total", 1),
+                ("grants_issued_total", 2),
+                ("heartbeats_total", 1),
+                ("reports_total", 1),
+            ])
+        );
+
+        // A replay, a report storm, a liar walked up the ladder, a silent
+        // node reclaimed, an implausible Hello, then a fence and takeover.
+        core.on_report(a, 3, Watts(90.0), Watts(85.0), true, 1500);
+        core.on_report(a, 2, Watts(90.0), Watts(85.0), true, 1500);
+        core.on_heartbeat(a, 1, 1500);
+        for seq in 4..40 {
+            core.on_report(a, seq, Watts(90.0), Watts(85.0), true, 1600);
+        }
+        for e in 2..=8u64 {
+            core.on_report(b, e, Watts(f64::NAN), Watts(-1.0), true, e * 1000 - 500);
+            core.on_report(a, 100 + e, Watts(90.0), Watts(85.0), true, e * 1000 - 500);
+            core.epoch_once(e * 1000);
+        }
+        let c = admit(&mut core, "c");
+        core.epoch_once(9000);
+        core.epoch_once(12_000); // `c` never reports: reclaimed
+        let _ = core.admit("d".into(), "EP".into(), Watts(0.0), Watts(125.0), 12_000);
+        let _ = core.observe_term(5);
+        core.promote();
+        let _ = c;
+        assert_eq!(
+            counters(&core),
+            pinned(&[
+                ("admission_rejects_total", 1),
+                ("budget_reclaims_total", 3),
+                ("demand_vetoes_total", 6),
+                ("duplicate_frames_total", 1),
+                ("evictions_total", 1),
+                ("grants_issued_total", 2),
+                ("heartbeats_total", 2),
+                ("quarantines_total", 1),
+                ("rate_limited_total", 23),
+                ("replays_rejected_total", 1),
+                ("reports_total", 22),
+                ("takeovers_total", 1),
+                ("term_fences_total", 1),
+            ])
+        );
     }
 
     #[test]

@@ -192,22 +192,27 @@ impl Frame {
     }
 
     /// Encodes the frame into a self-contained byte vector.
+    ///
+    /// Header, payload and CRC go into one buffer sized for the largest
+    /// fixed-size payload (25 bytes), so only frames carrying strings grow
+    /// it; the length field is patched once the payload is written.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
+        let mut buf = Vec::with_capacity(HEADER_LEN + 25 + 4);
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.push(self.frame_type() as u8);
         buf.push(0); // reserved
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        buf.extend_from_slice(&[0; 4]); // payload length, patched below
+        self.write_payload(&mut buf);
+        let len = (buf.len() - HEADER_LEN) as u32;
+        buf[8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
         let crc = crc32(&buf[4..]);
         buf.extend_from_slice(&crc.to_le_bytes());
         buf
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut p = Vec::new();
+    /// Appends the frame's payload to `p`.
+    fn write_payload(&self, p: &mut Vec<u8>) {
         match self {
             Frame::Hello {
                 node,
@@ -216,10 +221,10 @@ impl Frame {
                 app,
                 term,
             } => {
-                put_str(&mut p, node);
+                put_str(p, node);
                 p.extend_from_slice(&floor.value().to_le_bytes());
                 p.extend_from_slice(&node_max.value().to_le_bytes());
-                put_str(&mut p, app);
+                put_str(p, app);
                 p.extend_from_slice(&term.to_le_bytes());
             }
             Frame::DemandReport {
@@ -250,11 +255,10 @@ impl Frame {
             }
             Frame::Goodbye => {}
             Frame::Handover { successor, term } => {
-                put_str(&mut p, successor);
+                put_str(p, successor);
                 p.extend_from_slice(&term.to_le_bytes());
             }
         }
-        p
     }
 
     /// Decodes a frame from a complete byte buffer (header + payload +

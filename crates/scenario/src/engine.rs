@@ -19,7 +19,7 @@ use crate::arrival::{intensity_band, LoadProfile};
 use crate::spec::ScenarioSpec;
 use dufp_net::{CoordinatorConfig, FleetCore, Frame, GrantKind, PolicyKind};
 use dufp_sim::SharedSocketSim;
-use dufp_telemetry::{Actuator, DecisionEvent, Reason, Telemetry};
+use dufp_telemetry::{Actuator, DecisionEvent, Reason, Telemetry, DEFAULT_EVENT_CAPACITY};
 use dufp_types::{Error, Result, Seconds, Watts};
 use dufp_workloads::cache;
 use serde::{Deserialize, Serialize};
@@ -169,7 +169,15 @@ pub struct RunResult {
 /// field errors.
 pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<RunResult> {
     spec.validate()?;
-    let tel = Telemetry::enabled();
+    // The run is single-threaded, so its decision events go straight into
+    // a Vec rather than a telemetry ring, whose slots are all written when
+    // it is built (about 6 MiB). `record` keeps that ring's cap.
+    let mut events: Vec<DecisionEvent> = Vec::new();
+    let mut record = |ev| {
+        if events.len() < DEFAULT_EVENT_CAPACITY {
+            events.push(ev);
+        }
+    };
     let dt = spec.interval_ms as f64 / 1000.0;
     let intervals = (spec.duration_s / dt).ceil() as u64;
     let sub_dt = Seconds(dt / f64::from(SUBSTEPS));
@@ -245,7 +253,7 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<R
             let band = intensity_band(v);
             if bands[i] != band {
                 if bands[i] != u8::MAX {
-                    tel.record_decision(event(
+                    record(event(
                         tick,
                         now_ms,
                         i,
@@ -260,7 +268,6 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<R
             for j in 0..sim.tenant_count() {
                 sim.set_intensity(j, v);
             }
-            tel.gauge(&format!("scenario.node{i}.intensity")).set(v);
         }
 
         // Physics. `step_fast` self-gates: it fast-forwards through cached
@@ -282,13 +289,9 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<R
         for (i, sim) in sims.iter().enumerate() {
             for (j, viol) in tenant_viol[i].iter_mut().enumerate() {
                 let backlog = sim.backlog_seconds(j);
-                tel.gauge(&format!("scenario.node{i}.tenant{j}.backlog_s"))
-                    .set(backlog);
-                tel.gauge(&format!("scenario.node{i}.tenant{j}.energy_j"))
-                    .set(sim.account(j).energy_j);
                 if backlog > spec.slo_backlog_s {
                     *viol += 1;
-                    tel.record_decision(event(
+                    record(event(
                         tick,
                         now_ms,
                         i,
@@ -319,7 +322,7 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<R
                             GrantKind::Raise => grants += 1,
                             GrantKind::Shrink => shrinks += 1,
                         }
-                        tel.record_decision(event(
+                        record(event(
                             tick,
                             now_ms,
                             slot,
@@ -381,10 +384,7 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<R
         conservation_ok,
         nodes,
     };
-    Ok(RunResult {
-        row,
-        events: tel.drain_events(),
-    })
+    Ok(RunResult { row, events })
 }
 
 fn event(

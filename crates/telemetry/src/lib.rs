@@ -14,9 +14,10 @@
 //!
 //! The entry point is [`Telemetry`], a cheaply clonable handle that is
 //! either *enabled* (backed by a shared collector) or *disabled* (a null
-//! handle). Disabled is the default everywhere; every record call then
-//! reduces to one branch on an `Option`, so instrumented hot paths cost
-//! nothing measurable when tracing is off.
+//! handle). Disabled is the default everywhere; recording a decision then
+//! reduces to one branch on an `Option`. Looking a metric up by name
+//! still allocates a detached handle when disabled, so hot paths resolve
+//! their handles once and hold them.
 //!
 //! ```
 //! use dufp_telemetry::{Actuator, DecisionCtx, Reason, Telemetry};
@@ -62,8 +63,9 @@ struct Inner {
 
 /// Handle to the telemetry collector; cheap to clone and thread-safe.
 ///
-/// A disabled handle ([`Telemetry::disabled`]) is a null object: every
-/// record call is a single `Option` branch and no allocation ever happens.
+/// A disabled handle ([`Telemetry::disabled`]) is a null object: recording
+/// a decision is a single `Option` branch, and only a metric lookup by
+/// name allocates (a detached handle that is never reported).
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
@@ -87,7 +89,8 @@ impl Telemetry {
         Telemetry::new(DEFAULT_EVENT_CAPACITY)
     }
 
-    /// The null handle: records nothing, costs one branch per call.
+    /// The null handle: records nothing. Recording costs one branch; a
+    /// metric lookup by name returns a freshly allocated detached handle.
     pub fn disabled() -> Self {
         Telemetry { inner: None }
     }
