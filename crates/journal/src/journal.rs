@@ -78,6 +78,8 @@ pub struct JournalWriter {
     policy: FsyncPolicy,
     unsynced: u32,
     records: u64,
+    /// Reused frame buffer, so each record reaches the file in one write.
+    frame: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -104,6 +106,7 @@ impl JournalWriter {
             policy,
             unsynced: 0,
             records: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -130,6 +133,7 @@ impl JournalWriter {
             policy,
             unsynced: 0,
             records: existing_records,
+            frame: Vec::new(),
         })
     }
 
@@ -166,9 +170,11 @@ impl JournalWriter {
         }
         let len = u32::try_from(payload.len())
             .map_err(|_| Error::invalid("journal record", "payload exceeds u32::MAX bytes"))?;
-        self.file.write_all(&len.to_le_bytes())?;
-        self.file.write_all(&crc32(payload).to_le_bytes())?;
-        self.file.write_all(payload)?;
+        self.frame.clear();
+        self.frame.extend_from_slice(&len.to_le_bytes());
+        self.frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.frame.extend_from_slice(payload);
+        self.file.write_all(&self.frame)?;
         self.seg_bytes += record_len;
         self.records += 1;
         self.unsynced += 1;
@@ -471,5 +477,31 @@ mod tests {
         let out = read_records(t.path()).unwrap();
         assert_eq!(out.records.len(), 12);
         assert_eq!(out.records[11], b"after-resume");
+    }
+
+    #[test]
+    fn segment_bytes_are_pinned_across_a_rotation() {
+        // The on-disk format, byte for byte: magic, then `[len][crc]
+        // [payload]` frames. A 32-byte threshold rotates twice, and the
+        // last segment ends exactly at the threshold.
+        let t = TestDir::new("journal-pinned");
+        let mut w = JournalWriter::create(t.path(), FsyncPolicy::EveryN(2))
+            .unwrap()
+            .with_max_segment_bytes(32);
+        for p in [&b"a"[..], b"bc", b"", b"dufp", b"journal", b"x"] {
+            w.append(p).unwrap();
+        }
+        w.sync().unwrap();
+        drop(w);
+        let expected: [&[u8]; 3] = [
+            b"DUFPJNL1\x01\0\0\0\x43\xbe\xb7\xe8a\x02\0\0\0\x38\x2b\xa9\xc2bc",
+            b"DUFPJNL1\0\0\0\0\0\0\0\0\x04\0\0\0\xee\xa8\x98\xa4dufp",
+            b"DUFPJNL1\x07\0\0\0\x4d\xe7\xa7\xc1journal\x01\0\0\0\x83\x16\xdc\x8cx",
+        ];
+        let segs = segment_paths(t.path()).unwrap();
+        assert_eq!(segs.len(), expected.len());
+        for ((index, path), want) in segs.iter().zip(expected) {
+            assert_eq!(fs::read(path).unwrap(), want, "segment {index}");
+        }
     }
 }

@@ -183,67 +183,60 @@ impl Machine {
     }
 
     /// Advances up to `max_ticks` ticks through the sockets' memoized fast
-    /// path ([`SocketSim::tick_fast`]), stopping early — *after* the
-    /// completing tick, matching the tick-engine's `tick(); done()` order —
-    /// once every socket has finished. Returns the number of ticks actually
-    /// advanced.
+    /// path, stopping early — *after* the completing tick, matching the
+    /// tick-engine's `tick(); done()` order — once every socket has
+    /// finished. Returns the number of ticks actually advanced.
     ///
-    /// Each socket is locked once for the whole batch and the clock is
-    /// published once at the end, which is observationally equivalent to
-    /// per-tick stepping because MSR accesses, telemetry samples and fault
+    /// Every socket is locked for the whole batch and runs alone through
+    /// the batched kernel ([`SocketSim::tick_fast_batch`], with per-tick
+    /// [`SocketSim::tick_fast`] only where the memo must rebuild) until it
+    /// is done or reaches `max_ticks`. The machine advances the latest of
+    /// those stops if every socket is done, `max_ticks` otherwise; sockets
+    /// that stopped earlier run the remaining ticks idle. Sockets share no
+    /// state (each has its own RNG stream, enforcer, accumulators and
+    /// gauges), so running them one after another is bit-identical to
+    /// interleaving them, and MSR accesses, telemetry samples and fault
     /// injection only happen between driver batches, never mid-batch.
     pub fn advance(&self, max_ticks: u64) -> u64 {
+        let base = self.now_us.load(Ordering::Relaxed);
         let tick_us = self.cfg.tick.as_micros();
-        if let [only] = &self.sockets[..] {
-            // Single-socket machines (the paper sweep shape) hand whole
-            // batches to the socket's tight kernel, dropping to per-tick
-            // stepping only on ticks that must rebuild the memo.
-            let base = self.now_us.load(Ordering::Relaxed);
-            let mut g = only.lock();
-            let mut advanced = 0u64;
-            while advanced < max_ticks {
-                if g.done() {
-                    // An already-idle machine still performs the tick the
-                    // per-tick loop would before noticing it is done.
-                    g.tick_fast(Instant(base + advanced * tick_us));
-                    advanced += 1;
+        let at_tick = |t: u64| Instant(base + t * tick_us);
+        // Steps one socket from tick `at` toward `to`. With `until_done` it
+        // stops right after the tick that leaves the socket done; an
+        // already-done socket still performs the one tick the per-tick
+        // loop would before noticing.
+        let run = |g: &mut SocketSim, mut at: u64, to: u64, until_done: bool| {
+            let stop = |g: &SocketSim| until_done && g.done();
+            if stop(g) && at < to {
+                g.tick_fast(at_tick(at));
+                return at + 1;
+            }
+            while at < to {
+                at += g.tick_fast_batch(at_tick(at), tick_us, to - at);
+                if at >= to || stop(g) {
                     break;
                 }
-                advanced += g.tick_fast_batch(
-                    Instant(base + advanced * tick_us),
-                    tick_us,
-                    max_ticks - advanced,
-                );
-                if g.done() || advanced >= max_ticks {
-                    break;
-                }
-                g.tick_fast(Instant(base + advanced * tick_us));
-                advanced += 1;
-                if g.done() {
+                g.tick_fast(at_tick(at));
+                at += 1;
+                if stop(g) {
                     break;
                 }
             }
-            drop(g);
-            self.now_us.fetch_add(advanced * tick_us, Ordering::Relaxed);
-            return advanced;
+            at
+        };
+        let mut runs: Vec<_> = self.sockets.iter().map(|s| (s.lock(), 0)).collect();
+        for (g, stop) in &mut runs {
+            *stop = run(g, 0, max_ticks, true);
         }
-        let mut guards: Vec<_> = self.sockets.iter().map(|s| s.lock()).collect();
-        let mut now = self.now_us.load(Ordering::Relaxed);
-        let mut advanced = 0u64;
-        while advanced < max_ticks {
-            let mut all_done = true;
-            for g in guards.iter_mut() {
-                g.tick_fast(Instant(now));
-                all_done &= g.done();
-            }
-            now += tick_us;
-            advanced += 1;
-            if all_done {
-                break;
-            }
+        let advanced = if runs.iter().all(|(g, _)| g.done()) {
+            runs.iter().map(|&(_, stop)| stop).max().unwrap_or(0)
+        } else {
+            max_ticks
+        };
+        for (g, stop) in &mut runs {
+            run(g, *stop, advanced, false);
         }
-        self.now_us
-            .fetch_add(advanced * tick_us, Ordering::Relaxed);
+        self.now_us.fetch_add(advanced * tick_us, Ordering::Relaxed);
         advanced
     }
 
@@ -572,39 +565,55 @@ mod tests {
         let cap = PkgPowerLimit::defaults(Watts(90.0), Seconds(1.0), Watts(100.0), Seconds(0.01))
             .encode(&units)
             .unwrap();
-        let run = |fast: bool| -> Vec<(u64, u64, u64)> {
+        let run = |fast: bool| -> Vec<(u64, String)> {
             let m = Machine::new(SimConfig::yeti(5));
             let ctx = MaterializeCtx::from_arch(&m.config().arch);
             // Imbalanced loads make the sockets finish at different times,
-            // exercising the done-socket fast path alongside busy ones.
-            m.load_imbalanced(&apps::cg(&ctx).unwrap(), &[1.0, 1.1, 0.9, 1.0])
+            // exercising the done-socket fast path alongside busy ones; the
+            // last to finish is neither the first nor the last socket.
+            m.load_imbalanced(&apps::cg(&ctx).unwrap(), &[0.9, 1.2, 1.0, 0.8])
                 .unwrap();
-            let mut sig = Vec::new();
+            // Every socket's counters and phase log, in `Debug` form
+            // (shortest round-trip, so equal strings mean equal bits).
+            let state = |m: &Machine| {
+                let socks: Vec<_> = (0..4)
+                    .map(|i| (m.sample(SocketId(i)), m.phase_log(SocketId(i))))
+                    .collect();
+                format!("{:?} {socks:?}", m.now())
+            };
+            // The tick engine's loop: stop after the tick that finishes the
+            // last socket.
+            let step = |m: &Machine, max_ticks: u64| {
+                if fast {
+                    return m.advance(max_ticks);
+                }
+                let mut n = 0;
+                while n < max_ticks {
+                    m.tick();
+                    n += 1;
+                    if m.done() {
+                        break;
+                    }
+                }
+                n
+            };
+            // `max_ticks = 0` advances nothing.
+            let mut sig = vec![(step(&m, 0), state(&m))];
             for round in 0..600 {
                 if round == 40 {
                     m.write(0, MSR_PKG_POWER_LIMIT, cap).unwrap();
                 }
-                if fast {
-                    m.advance(200);
-                } else {
-                    for _ in 0..200 {
-                        m.tick();
-                        if m.done() {
-                            break;
-                        }
-                    }
-                }
-                let s = m.sample(SocketId(1)).unwrap();
-                sig.push((
-                    m.now().0,
-                    s.pkg_energy.value().to_bits(),
-                    s.flops.to_bits(),
-                ));
+                sig.push((step(&m, 200), state(&m)));
                 if m.done() {
                     break;
                 }
             }
             assert!(m.done(), "workload must finish inside the round budget");
+            // With every socket done at entry, a batch is the one idle tick
+            // the tick loop takes before it notices.
+            for max_ticks in [0, 200, 200] {
+                sig.push((step(&m, max_ticks), state(&m)));
+            }
             sig
         };
         assert_eq!(run(false), run(true));

@@ -5,16 +5,17 @@
 //! final energy/FLOPS counters, fault-injector RNG positions, journal
 //! bytes — must be bit-identical to `--engine tick`, which stays in the
 //! tree as the permanent oracle. The tests here state that contract at
-//! three layers:
+//! three layers, each on a 1-socket and a 4-socket machine:
 //!
 //! 1. **Runner level** — random (seed × policy × slowdown × fault plan ×
-//!    app) points produce byte-identical decision traces and result bits
-//!    under both engines.
+//!    app × socket count) points produce byte-identical decision traces
+//!    and result bits under both engines.
 //! 2. **Simulator level** — a `Machine` advanced in arbitrary batches,
 //!    with an armed fault plan and live MSR traffic between batches,
-//!    matches the per-tick loop on counters and injector state, and
-//!    tick-scheduled rules (`at=`, `window=`) fire at the exact tick even
-//!    when that tick sits inside a fast-forwarded span.
+//!    matches the per-tick loop on every socket's counters and on the
+//!    injector state, also when imbalanced sockets finish at different
+//!    ticks; and tick-scheduled rules (`at=`, `window=`) fire at the exact
+//!    tick even when that tick sits inside a fast-forwarded span.
 //! 3. **Crash/resume** — a `crash,at=<random tick>` plan under the event
 //!    engine, resumed from its journal, reproduces the uninterrupted
 //!    tick-engine reference bit-for-bit (journal bytes included).
@@ -36,6 +37,15 @@ use std::path::{Path, PathBuf};
 const POLICIES: [&str; 4] = ["duf", "dufp", "dufpf", "dnpc"];
 const SLOWDOWNS: [f64; 3] = [5.0, 10.0, 20.0];
 const APPS: [&str; 2] = ["EP", "CG"];
+const SOCKETS: [u16; 2] = [1, 4];
+
+/// The noisy Yeti node with `sockets` packages: per-tick RNG draws active
+/// and the event engine on its batched fast path.
+fn yeti(sockets: u16, seed: u64) -> SimConfig {
+    let mut cfg = SimConfig::yeti(seed);
+    cfg.arch.sockets = sockets;
+    cfg
+}
 
 fn controller(policy: &str, slowdown_pct: f64) -> ControllerKind {
     let slowdown = Ratio::from_percent(slowdown_pct);
@@ -48,11 +58,16 @@ fn controller(policy: &str, slowdown_pct: f64) -> ControllerKind {
     }
 }
 
-fn spec(engine: Engine, app: &str, policy: &str, slowdown_pct: f64, plan: Option<&str>) -> ExperimentSpec {
+fn spec(
+    engine: Engine,
+    sockets: u16,
+    app: &str,
+    policy: &str,
+    slowdown_pct: f64,
+    plan: Option<&str>,
+) -> ExperimentSpec {
     ExperimentSpec {
-        // The noisy single-socket machine: per-tick RNG draws active and
-        // the event engine on its batched fast path (the sweep shape).
-        sim: SimConfig::yeti_single_socket(0),
+        sim: yeti(sockets, 0),
         app: app.into(),
         controller: controller(policy, slowdown_pct),
         trace: None,
@@ -145,14 +160,18 @@ proptest! {
         let policy = POLICIES[policy_idx];
         let slowdown = SLOWDOWNS[slow_idx];
         let app = APPS[app_idx];
+        for sockets in SOCKETS {
+            let (rt, trace_tick) =
+                run_traced(&spec(Engine::Tick, sockets, app, policy, slowdown, plan), seed);
+            let (re, trace_event) =
+                run_traced(&spec(Engine::Event, sockets, app, policy, slowdown, plan), seed);
 
-        let (rt, trace_tick) = run_traced(&spec(Engine::Tick, app, policy, slowdown, plan), seed);
-        let (re, trace_event) = run_traced(&spec(Engine::Event, app, policy, slowdown, plan), seed);
-
-        prop_assert!(!trace_tick.is_empty(), "{policy}@{slowdown}% produced no decisions");
-        prop_assert_eq!(trace_tick, trace_event, "decision traces diverged for {}@{}% on {} (plan {:?})",
-            policy, slowdown, app, plan);
-        assert_same_result(&rt, &re);
+            prop_assert!(!trace_tick.is_empty(), "{policy}@{slowdown}% produced no decisions");
+            prop_assert_eq!(trace_tick, trace_event,
+                "decision traces diverged for {}@{}% on {} with {} sockets (plan {:?})",
+                policy, slowdown, app, sockets, plan);
+            assert_same_result(&rt, &re);
+        }
     }
 }
 
@@ -160,36 +179,69 @@ proptest! {
 // Layer 2: simulator-level counter + injector equivalence.
 // ---------------------------------------------------------------------------
 
-fn machine_with(plan: Option<&str>, seed: u64) -> Machine {
-    let cfg = SimConfig::yeti_single_socket(seed);
+/// Work scale per socket of a 4-socket machine: short, unequal EP runs,
+/// so the sockets finish at different ticks inside the tested span.
+const IMBALANCE: [f64; 4] = [0.02, 0.01, 0.035, 0.015];
+
+fn machine_with(plan: Option<&str>, seed: u64, sockets: u16) -> Machine {
+    let cfg = yeti(sockets, seed);
     let ctx = dufp_workloads::MaterializeCtx::from_arch(&cfg.arch);
     let workload = dufp_workloads::apps::by_name("EP", &ctx).expect("EP materializes");
     let m = Machine::new(cfg);
-    m.load_all(&workload);
+    if sockets == 1 {
+        m.load_all(&workload);
+    } else {
+        m.load_imbalanced(&workload, &IMBALANCE)
+            .expect("one factor per socket");
+    }
     if let Some(p) = plan {
         m.inject_faults(FaultPlan::parse(p).expect("valid plan"));
     }
     m
 }
 
-/// The MSR traffic a control interval generates, issued identically to
-/// both machines; returns a digest of outcomes so faults that fire must
-/// fire on both.
+/// The MSR traffic a control interval generates on every socket, issued
+/// identically to both machines; returns a digest of outcomes so faults
+/// that fire must fire on both.
 fn msr_round(m: &Machine, step: u64) -> Vec<Result<u64, String>> {
+    let per = usize::from(m.config().arch.cores_per_socket);
     let mut out = Vec::new();
-    out.push(m.read(0, MSR_PKG_ENERGY_STATUS).map_err(|e| e.to_string()));
-    out.push(m.read(0, IA32_APERF).map_err(|e| e.to_string()));
-    // Write-back of the current cap: state-neutral, but it walks the
-    // injector's write-rule matchers and RNG exactly like a real actuation.
-    match m.read(0, MSR_PKG_POWER_LIMIT) {
-        Ok(v) => out.push(
-            m.write(0, MSR_PKG_POWER_LIMIT, v)
-                .map(|()| step)
+    for cpu in (0..m.socket_count()).map(|s| s * per) {
+        out.push(
+            m.read(cpu, MSR_PKG_ENERGY_STATUS)
                 .map_err(|e| e.to_string()),
-        ),
-        Err(e) => out.push(Err(e.to_string())),
+        );
+        out.push(m.read(cpu, IA32_APERF).map_err(|e| e.to_string()));
+        // Write-back of the current cap: state-neutral, but it walks the
+        // injector's write-rule matchers and RNG exactly like a real
+        // actuation.
+        match m.read(cpu, MSR_PKG_POWER_LIMIT) {
+            Ok(v) => out.push(
+                m.write(cpu, MSR_PKG_POWER_LIMIT, v)
+                    .map(|()| step)
+                    .map_err(|e| e.to_string()),
+            ),
+            Err(e) => out.push(Err(e.to_string())),
+        }
     }
     out
+}
+
+/// Every socket's counters, each field as its bit pattern (or the
+/// injected sampling fault, which must hit both machines alike).
+fn counter_bits(m: &Machine) -> Vec<Result<[u64; 5], String>> {
+    (0..m.socket_count())
+        .map(|i| {
+            let s = m.sample(SocketId(i as u16)).map_err(|e| e.to_string())?;
+            Ok([
+                s.flops.to_bits(),
+                s.bytes.to_bits(),
+                s.pkg_energy.value().to_bits(),
+                s.dram_energy.value().to_bits(),
+                s.avg_core_freq.value().to_bits(),
+            ])
+        })
+        .collect()
 }
 
 proptest! {
@@ -197,8 +249,10 @@ proptest! {
 
     /// A machine advanced in arbitrary batch sizes, with fault rules and
     /// MSR traffic between batches, matches the per-tick loop: same
-    /// counter bits, same MSR outcomes, same injector RNG position and
-    /// per-rule hit counts after every round.
+    /// counter bits on every socket, same MSR outcomes, same injector RNG
+    /// position and per-rule hit counts after every round. On 4 sockets
+    /// the loads are imbalanced, so batches also end on a machine whose
+    /// sockets finished at different ticks, and start on a finished one.
     #[test]
     fn batched_advance_matches_tick_loop_on_counters_and_injector_state(
         seed in 0u64..200,
@@ -215,35 +269,40 @@ proptest! {
             )),
         ];
         let plan = plans[plan_sel].as_deref();
+        for sockets in SOCKETS {
+            let a = machine_with(plan, seed, sockets); // per-tick oracle
+            let b = machine_with(plan, seed, sockets); // batched fast path
 
-        let a = machine_with(plan, seed); // per-tick oracle
-        let b = machine_with(plan, seed); // batched fast path
+            for round in 0..rounds {
+                // The runner's tick loop: stop after the tick that finishes
+                // the last socket.
+                let mut ticked = 0;
+                while ticked < batch {
+                    a.tick();
+                    ticked += 1;
+                    if a.done() {
+                        break;
+                    }
+                }
+                let advanced = b.advance(batch);
+                if sockets == 1 {
+                    prop_assert_eq!(advanced, batch, "batch cut short before completion");
+                }
+                prop_assert_eq!(advanced, ticked, "batch length differs from the tick loop");
+                prop_assert_eq!(a.now().0, b.now().0, "clocks diverged");
+                prop_assert_eq!(counter_bits(&a), counter_bits(&b), "counters diverged at round {}", round);
 
-        for round in 0..rounds {
-            for _ in 0..batch {
-                a.tick();
+                let ra = msr_round(&a, round);
+                let rb = msr_round(&b, round);
+                prop_assert_eq!(ra, rb, "MSR outcomes diverged at round {}", round);
+                prop_assert_eq!(
+                    a.injector_snapshot(),
+                    b.injector_snapshot(),
+                    "injector RNG position / hit counters diverged at round {}",
+                    round
+                );
             }
-            let advanced = b.advance(batch);
-            prop_assert_eq!(advanced, batch, "batch cut short before completion");
-            prop_assert_eq!(a.now().0, b.now().0, "clocks diverged");
-
-            let ra = msr_round(&a, round);
-            let rb = msr_round(&b, round);
-            prop_assert_eq!(ra, rb, "MSR outcomes diverged at round {}", round);
-            prop_assert_eq!(
-                a.injector_snapshot(),
-                b.injector_snapshot(),
-                "injector RNG position / hit counters diverged at round {}",
-                round
-            );
         }
-
-        let sa = a.sample(SocketId(0)).expect("sample oracle");
-        let sb = b.sample(SocketId(0)).expect("sample fast path");
-        prop_assert_eq!(sa.flops.to_bits(), sb.flops.to_bits());
-        prop_assert_eq!(sa.bytes.to_bits(), sb.bytes.to_bits());
-        prop_assert_eq!(sa.pkg_energy.value().to_bits(), sb.pkg_energy.value().to_bits());
-        prop_assert_eq!(sa.dram_energy.value().to_bits(), sb.dram_energy.value().to_bits());
     }
 }
 
@@ -258,8 +317,8 @@ fn scheduled_rules_fire_at_exact_ticks_across_batches() {
     // so the write-back there must fail identically.
     for boundary in [true, false] {
         let w = if boundary { 400 } else { 337 };
-        let a = machine_with(Some(&plan(w)), 3);
-        let b = machine_with(Some(&plan(w)), 3);
+        let a = machine_with(Some(&plan(w)), 3, 1);
+        let b = machine_with(Some(&plan(w)), 3, 1);
         for _ in 0..400 {
             a.tick();
         }
@@ -300,32 +359,33 @@ proptest! {
             Some(b) => format!("{b};crash,at={crash_at}"),
             None => format!("crash,at={crash_at}"),
         };
+        for sockets in SOCKETS {
+            let reference = spec(Engine::Tick, sockets, "EP", "dufp", 10.0, base.as_deref());
+            let dir_a = TestDir::new("ref");
+            let ra = run_journaled(&reference, seed, &JournalOptions::new(dir_a.path()))
+                .expect("reference run completes");
 
-        let reference = spec(Engine::Tick, "EP", "dufp", 10.0, base.as_deref());
-        let dir_a = TestDir::new("ref");
-        let ra = run_journaled(&reference, seed, &JournalOptions::new(dir_a.path()))
-            .expect("reference run completes");
-
-        let crashed = spec(Engine::Event, "EP", "dufp", 10.0, Some(&crash_plan));
-        let dir_b = TestDir::new("crash");
-        match run_journaled(&crashed, seed, &JournalOptions::new(dir_b.path())) {
-            // Crash tick beyond completion: the run finishes; it must
-            // already match the reference.
-            Ok(rb) => assert_same_result(&ra, &rb),
-            Err(err) => {
-                prop_assert!(err.to_string().contains("crash at tick"), "{}", err);
-                let rb = resume(dir_b.path()).expect("resume completes the run");
-                assert_same_result(&ra, &rb);
+            let crashed = spec(Engine::Event, sockets, "EP", "dufp", 10.0, Some(&crash_plan));
+            let dir_b = TestDir::new("crash");
+            match run_journaled(&crashed, seed, &JournalOptions::new(dir_b.path())) {
+                // Crash tick beyond completion: the run finishes; it must
+                // already match the reference.
+                Ok(rb) => assert_same_result(&ra, &rb),
+                Err(err) => {
+                    prop_assert!(err.to_string().contains("crash at tick"), "{}", err);
+                    let rb = resume(dir_b.path()).expect("resume completes the run");
+                    assert_same_result(&ra, &rb);
+                }
             }
+            let rec_a = read_records(dir_a.path()).expect("read reference journal");
+            let rec_b = read_records(dir_b.path()).expect("read resumed journal");
+            prop_assert!(!rec_a.truncated && !rec_b.truncated);
+            prop_assert_eq!(
+                rec_a.records,
+                rec_b.records,
+                "event-engine resumed journal differs from the tick-engine reference"
+            );
         }
-        let rec_a = read_records(dir_a.path()).expect("read reference journal");
-        let rec_b = read_records(dir_b.path()).expect("read resumed journal");
-        prop_assert!(!rec_a.truncated && !rec_b.truncated);
-        prop_assert_eq!(
-            rec_a.records,
-            rec_b.records,
-            "event-engine resumed journal differs from the tick-engine reference"
-        );
     }
 }
 
@@ -340,7 +400,7 @@ fn crash_inside_a_fast_forward_window_fires_at_the_exact_tick() {
     let mut msgs = Vec::new();
     let mut records = Vec::new();
     for engine in [Engine::Tick, Engine::Event] {
-        let s = spec(engine, "EP", "dufp", 10.0, Some(plan));
+        let s = spec(engine, 1, "EP", "dufp", 10.0, Some(plan));
         let dir = TestDir::new("mid");
         let err = run_journaled(&s, seed, &JournalOptions::new(dir.path()))
             .expect_err("crash rule must abort the run");
